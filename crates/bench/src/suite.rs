@@ -18,20 +18,20 @@
 //! | `end_to_end_send_v` | Send-V on the pipelined engine | Send-V on the seed engine |
 //! | `end_to_end_two_level` | TwoLevel-S on the pipelined engine | TwoLevel-S on the seed engine |
 //! | `query_throughput` | batched selectivity serving (`wh-query`) | one-at-a-time serving |
-//! | `serve_throughput` | the sharded, epoch-swapped tier (`wh-serve`) | direct batched serving on the unsharded compiled form |
+//! | `serve_throughput` | the epoch-swapped tier (`wh-serve`) | direct batched serving on the compiled form |
 //! | `delta_merge_1pct` | incremental maintenance: delta-merge + re-snapshot at 1 % churn | dense from-scratch rebuild on the concatenated counts |
 //! | `delta_merge_10pct` | the same at 10 % churn | the same full rebuild |
 //! | `twod_build` | Send-Coef-2D on the pipelined engine (`(u16,u16)` keys, dense reduce) | Send-Coef-2D on the seed engine |
-//! | `twod_query` | batched 2-D rectangle serving (endpoint sort + galloping walks) | one-rectangle-at-a-time serving |
+//! | `twod_query` | batched 2-D rectangle serving (validate all, then single lookups) | one-rectangle-at-a-time serving |
 //!
 //! `wire_shuffle` is expected to *cost more* on its "optimized" side
 //! (real fork + pipe + encode/decode versus in-memory moves): its gate
 //! watches that overhead ratio, and its `items_per_s` reports measured
-//! bytes-on-wire per second. `twod_query` can sit above 1.0 too — a 2-D
+//! bytes-on-wire per second. `twod_query` sits near 1.0 — a 2-D
 //! histogram's per-axis segment arrays are capped at `u ≤ 2¹⁶` entries,
 //! so four tiny binary searches per rectangle are hard to beat and the
-//! batched side's endpoint sort is overhead until batches meet larger
-//! axes; the gate pins that ratio rather than assuming a speedup.
+//! batched side answers by exactly those lookups after validating the
+//! batch; the gate pins that ratio rather than assuming a speedup.
 //!
 //! Because both sides run on the same machine moments apart, the
 //! per-bench `relative_cost` (`wall_s / reference_wall_s`) is portable
@@ -222,11 +222,11 @@ fn twod_build(opts: SuiteOptions) -> BenchRecord {
     }
 }
 
-/// 2-D rectangle serving (PR 10): batched range-selectivity over the
-/// compiled summed-area form — per-axis endpoint radix sort plus one
-/// galloping segment walk per axis — against answering the identical
-/// rectangles one at a time (four binary searches each). Answers must be
-/// bit-identical; `items_per_s` reports rectangle estimates per second.
+/// 2-D rectangle serving (PR 10): the batched rectangle-sum call over the
+/// compiled summed-area form — validate the whole batch, then four
+/// binary searches per rectangle — against answering the identical
+/// rectangles one at a time. Answers must be bit-identical;
+/// `items_per_s` reports rectangle estimates per second.
 /// With a pinned thread budget both sides split the batch across that
 /// many serving threads sharing one `&CompiledHistogram2D`.
 fn twod_query(opts: SuiteOptions) -> BenchRecord {
@@ -278,7 +278,7 @@ fn twod_query(opts: SuiteOptions) -> BenchRecord {
             for (qs, outs) in queries.chunks(chunk).zip(single_out.chunks_mut(chunk)) {
                 s.spawn(move || {
                     for (slot, &q) in outs.iter_mut().zip(qs) {
-                        *slot = compiled.rectangle_sum(q);
+                        *slot = compiled.try_rectangle_sum(q).expect("valid rectangle");
                     }
                 });
             }
@@ -294,7 +294,11 @@ fn twod_query(opts: SuiteOptions) -> BenchRecord {
                 .zip(batch_out.chunks_mut(chunk))
                 .zip(scratches.iter_mut())
             {
-                s.spawn(move || compiled.rectangle_sum_batch_into(qs, scratch, outs));
+                s.spawn(move || {
+                    compiled
+                        .try_rectangle_sum_batch_into(qs, scratch, outs)
+                        .expect("valid rectangles")
+                });
             }
         });
     });
@@ -956,7 +960,7 @@ fn query_throughput(opts: SuiteOptions) -> BenchRecord {
             for (qs, outs) in queries.chunks(chunk).zip(single_out.chunks_mut(chunk)) {
                 s.spawn(move || {
                     for (slot, &(lo, hi)) in outs.iter_mut().zip(qs) {
-                        *slot = compiled.range_sum(lo, hi);
+                        *slot = compiled.try_range_sum(lo, hi).expect("valid range");
                     }
                 });
             }
@@ -974,7 +978,11 @@ fn query_throughput(opts: SuiteOptions) -> BenchRecord {
                 .zip(batch_out.chunks_mut(chunk))
                 .zip(scratches.iter_mut())
             {
-                s.spawn(move || compiled.range_sum_batch_into(qs, scratch, outs));
+                s.spawn(move || {
+                    compiled
+                        .try_range_sum_batch_into(qs, scratch, outs)
+                        .expect("valid ranges")
+                });
             }
         });
     });
@@ -1003,15 +1011,14 @@ fn query_throughput(opts: SuiteOptions) -> BenchRecord {
 pub const SERVE_T4_FLOOR_ESTIMATES_PER_S: f64 = 1.0e7;
 
 /// The serving **tier** end to end: the same closed-loop, thread-per-core
-/// deployment as [`query_throughput`]'s optimized side, but pushed
-/// through `wh-serve` — dataset lookup in an epoch snapshot, key-range
-/// routing across one shard per serving thread, per-shard galloping
-/// walks, and the fallible (`try_*`) query path — instead of calling the
-/// unsharded [`CompiledHistogram`] directly. The reference side *is* that
-/// direct batched serving, so the ratio isolates exactly what the tier
-/// adds: snapshot acquisition (one atomic epoch load per batch on the
-/// warm path), shard routing, and error plumbing. Answers must be
-/// bit-identical; the tier's absolute rate also feeds the
+/// deployment as [`query_throughput`]'s batched side, but pushed through
+/// `wh-serve` — dataset lookup in an epoch snapshot, then the same
+/// batched walk — instead of calling the [`CompiledHistogram`] directly.
+/// The reference side *is* that direct batched serving, so the ratio
+/// measures the tier's overhead over the direct walk: snapshot
+/// acquisition (one atomic epoch load per batch on the warm path), the
+/// dataset lookup, and error plumbing. It should sit at ~1.0. Answers
+/// must be bit-identical; the tier's absolute rate also feeds the
 /// [`SERVE_T4_FLOOR_ESTIMATES_PER_S`] gate.
 ///
 /// Each thread is a closed-loop load generator: it owns one
@@ -1057,8 +1064,8 @@ fn serve_throughput(opts: SuiteOptions) -> BenchRecord {
     let chunk = num_queries.div_ceil(threads);
     let compiled_ref = &compiled;
 
-    // Reference: direct batched selectivity over the unsharded compiled
-    // form — the fast path the tier must not give back.
+    // Reference: direct batched selectivity over the compiled form — the
+    // fast path the tier must not give back.
     let mut scratches: Vec<BatchScratch> = (0..threads).map(|_| BatchScratch::new()).collect();
     let mut direct_out = vec![0.0f64; num_queries];
     let (ref_s, ()) = time_best(opts.repeats, || {
@@ -1070,16 +1077,18 @@ fn serve_throughput(opts: SuiteOptions) -> BenchRecord {
             {
                 s.spawn(move || {
                     for _ in 0..ROUNDS {
-                        compiled_ref.selectivity_batch_into(qs, records, scratch, outs);
+                        compiled_ref
+                            .try_selectivity_batch_into(qs, records, scratch, outs)
+                            .expect("bench queries are valid");
                     }
                 });
             }
         });
     });
 
-    // Optimized: the tier, one shard per serving thread, each thread
-    // driving its own handle in a closed loop.
-    let tier = ServeTier::new(threads);
+    // Measured: the tier, each serving thread driving its own handle in
+    // a closed loop.
+    let tier = ServeTier::default();
     tier.publish(0, &compiled, records);
     let mut handles: Vec<_> = (0..threads).map(|_| tier.handle()).collect();
     let mut tier_out = vec![0.0f64; num_queries];

@@ -16,32 +16,21 @@ use crate::error::QueryError;
 /// the first call at a given batch size, batched serving allocates
 /// nothing. The scratch carries no per-histogram state: every batched
 /// call rebuilds the endpoint and prefix buffers from its own inputs, so
-/// one scratch serves any number of different compiled histograms (the
-/// serve tier recycles it across shard snapshots).
+/// one scratch serves any number of different compiled histograms (a
+/// serve-tier handle recycles one across every dataset and generation
+/// it answers from).
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     /// `(key, tag)` endpoints; the tag's low bit distinguishes a range's
     /// `lo − 1` endpoint (0) from its `hi` endpoint (1), the rest is the
     /// query index.
-    pub(crate) endpoints: Vec<(u64, u32)>,
+    endpoints: Vec<(u64, u32)>,
     /// Ping-pong buffer of the LSD endpoint sort.
     swap: Vec<(u64, u32)>,
     /// Per-pass digit histograms of the endpoint sort.
     counts: Vec<u32>,
     /// Cumulative estimates indexed by tag.
-    pub(crate) prefixes: Vec<f64>,
-}
-
-impl BatchScratch {
-    /// Scratch with empty buffers.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sorts the endpoint buffer ascending by key. See [`sort_endpoints`].
-    pub(crate) fn sort(&mut self) {
-        sort_endpoints(&mut self.endpoints, &mut self.swap, &mut self.counts);
-    }
+    prefixes: Vec<f64>,
 }
 
 /// Digit width of the endpoint sort: 11-bit digits mean at most four
@@ -50,83 +39,87 @@ impl BatchScratch {
 const DIGIT_BITS: u32 = 11;
 const BUCKETS: usize = 1 << DIGIT_BITS;
 
-/// LSD counting sort of the endpoint batch, ascending by key.
-///
-/// Purpose-built for serving rather than reusing the engine's
-/// `wh-mapreduce` radix sorter: that sorter permutes the *original*
-/// array in place (its callers keep pair identity), which costs an extra
-/// random-access cycle walk — but the batched query path only consumes
-/// the sorted *stream* (each endpoint carries its identity in the tag),
-/// so here the last ping-pong buffer is simply swapped into place.
-/// Passes cover the keys' min-rebased span, so a batch of nearby
-/// predicates sorts in a single pass regardless of where in the domain
-/// it lands; a pre-scan skips the sort entirely when the batch already
-/// arrives in key order. Order among equal keys is irrelevant (every
-/// endpoint is resolved independently), but counting passes are stable
-/// anyway.
-pub(crate) fn sort_endpoints(
-    main: &mut Vec<(u64, u32)>,
-    swap: &mut Vec<(u64, u32)>,
-    counts: &mut Vec<u32>,
-) {
-    let n = main.len();
-    if n <= 1 {
-        return;
+impl BatchScratch {
+    /// Scratch with empty buffers.
+    pub fn new() -> Self {
+        Self::default()
     }
-    let mut min = u64::MAX;
-    let mut max = 0u64;
-    let mut prev = 0u64;
-    let mut sorted = true;
-    for &(k, _) in main.iter() {
-        sorted &= k >= prev;
-        prev = k;
-        min = min.min(k);
-        max = max.max(k);
-    }
-    if sorted {
-        return;
-    }
-    let bits = 64 - (max - min).leading_zeros();
-    let passes = bits.div_ceil(DIGIT_BITS) as usize;
-    swap.clear();
-    swap.resize(n, (0, 0));
-    counts.clear();
-    counts.resize(BUCKETS * passes, 0);
-    for &(k, _) in main.iter() {
-        let r = k - min;
+
+    /// LSD counting sort of the endpoint batch, ascending by key.
+    ///
+    /// Purpose-built for serving rather than reusing the engine's
+    /// `wh-mapreduce` radix sorter: that sorter permutes the *original*
+    /// array in place (its callers keep pair identity), which costs an extra
+    /// random-access cycle walk — but the batched query path only consumes
+    /// the sorted *stream* (each endpoint carries its identity in the tag),
+    /// so here the last ping-pong buffer is simply swapped into place.
+    /// Passes cover the keys' min-rebased span, so a batch of nearby
+    /// predicates sorts in a single pass regardless of where in the domain
+    /// it lands; a pre-scan skips the sort entirely when the batch already
+    /// arrives in key order. Order among equal keys is irrelevant (every
+    /// endpoint is resolved independently), but counting passes are stable
+    /// anyway.
+    fn sort(&mut self) {
+        let (main, swap, counts) = (&mut self.endpoints, &mut self.swap, &mut self.counts);
+        let n = main.len();
+        if n <= 1 {
+            return;
+        }
+        let mut min = u64::MAX;
+        let mut max = 0u64;
+        let mut prev = 0u64;
+        let mut sorted = true;
+        for &(k, _) in main.iter() {
+            sorted &= k >= prev;
+            prev = k;
+            min = min.min(k);
+            max = max.max(k);
+        }
+        if sorted {
+            return;
+        }
+        let bits = 64 - (max - min).leading_zeros();
+        let passes = bits.div_ceil(DIGIT_BITS) as usize;
+        swap.clear();
+        swap.resize(n, (0, 0));
+        counts.clear();
+        counts.resize(BUCKETS * passes, 0);
+        for &(k, _) in main.iter() {
+            let r = k - min;
+            for p in 0..passes {
+                let b = (r >> (p as u32 * DIGIT_BITS)) as usize & (BUCKETS - 1);
+                counts[p * BUCKETS + b] += 1;
+            }
+        }
+        let mut src_is_main = true;
         for p in 0..passes {
-            let b = (r >> (p as u32 * DIGIT_BITS)) as usize & (BUCKETS - 1);
-            counts[p * BUCKETS + b] += 1;
+            let c = &mut counts[p * BUCKETS..(p + 1) * BUCKETS];
+            // A digit where every key agrees permutes nothing: skip the pass.
+            if c.iter().any(|&x| x as usize == n) {
+                continue;
+            }
+            let mut sum = 0u32;
+            for slot in c.iter_mut() {
+                let next = sum + *slot;
+                *slot = sum;
+                sum = next;
+            }
+            let (src, dst) = if src_is_main {
+                (&mut *main, &mut *swap)
+            } else {
+                (&mut *swap, &mut *main)
+            };
+            let shift = p as u32 * DIGIT_BITS;
+            for &(k, t) in src.iter() {
+                let b = ((k - min) >> shift) as usize & (BUCKETS - 1);
+                dst[c[b] as usize] = (k, t);
+                c[b] += 1;
+            }
+            src_is_main = !src_is_main;
         }
-    }
-    let mut src_is_main = true;
-    for p in 0..passes {
-        let c = &mut counts[p * BUCKETS..(p + 1) * BUCKETS];
-        // A digit where every key agrees permutes nothing: skip the pass.
-        if c.iter().any(|&x| x as usize == n) {
-            continue;
+        if !src_is_main {
+            std::mem::swap(main, swap);
         }
-        let mut sum = 0u32;
-        for slot in c.iter_mut() {
-            let next = sum + *slot;
-            *slot = sum;
-            sum = next;
-        }
-        let (src, dst) = if src_is_main {
-            (&mut *main, &mut *swap)
-        } else {
-            (&mut *swap, &mut *main)
-        };
-        let shift = p as u32 * DIGIT_BITS;
-        for &(k, t) in src.iter() {
-            let b = ((k - min) >> shift) as usize & (BUCKETS - 1);
-            dst[c[b] as usize] = (k, t);
-            c[b] += 1;
-        }
-        src_is_main = !src_is_main;
-    }
-    if !src_is_main {
-        std::mem::swap(main, swap);
     }
 }
 
@@ -138,13 +131,12 @@ pub(crate) fn sort_endpoints(
 ///
 /// Precondition (upheld by the callers): `starts[from] <= x`.
 ///
-/// `#[inline]` is load-bearing: this runs once per endpoint inside every
-/// batched walk (unsharded, sharded, and 2-D), and with call sites in
-/// three modules the inliner otherwise outlines it — keeping `starts`
-/// in a register across the gallop is worth ~2× on the large-`k`
-/// sharded serving path.
+/// `#[inline]` is load-bearing: this runs once per endpoint inside the
+/// batched walks, and an outlined copy (what the inliner chose once the
+/// walk had more call sites) measured ~2× slower on large-`k` serving —
+/// keeping `starts` in a register across the gallop is the win.
 #[inline]
-pub(crate) fn advance(starts: &[u64], from: usize, x: u64) -> usize {
+fn advance(starts: &[u64], from: usize, x: u64) -> usize {
     debug_assert!(starts[from] <= x);
     let mut lo = from;
     let mut step = 1usize;
@@ -170,6 +162,12 @@ impl CompiledHistogram {
     /// galloping walk over the segment array — `O(q + k)` probes total
     /// versus `O(q log k)` for one-at-a-time serving. `scratch` and
     /// `out` are caller-owned, so a warm serving loop allocates nothing.
+    ///
+    /// What the walk buys is measured by `wh-bench`'s `query_throughput`
+    /// (batched ÷ one-at-a-time wall time, fast scale, one thread): the
+    /// committed `BENCH_PR10.json` baseline records 0.49, while repeated
+    /// runs on a 2-core VM settle at 0.86–0.92 with `--repeats 15` — a
+    /// modest win, so the walk stays.
     pub fn try_range_sum_batch_into(
         &self,
         queries: &[(u64, u64)],
@@ -218,34 +216,6 @@ impl CompiledHistogram {
         Ok(())
     }
 
-    /// Answers a batch of inclusive range-sum queries into `out`,
-    /// bit-identical to calling [`Self::range_sum`] per query.
-    ///
-    /// Thin wrapper over [`Self::try_range_sum_batch_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `out.len() != queries.len()`, on any invalid query
-    /// (`lo > hi` or `hi` outside the domain), or when the batch exceeds
-    /// `2^30` queries (tag budget).
-    pub fn range_sum_batch_into(
-        &self,
-        queries: &[(u64, u64)],
-        scratch: &mut BatchScratch,
-        out: &mut [f64],
-    ) {
-        self.try_range_sum_batch_into(queries, scratch, out)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Allocating convenience wrapper over
-    /// [`Self::range_sum_batch_into`].
-    pub fn range_sum_batch(&self, queries: &[(u64, u64)]) -> Vec<f64> {
-        let mut out = vec![0.0; queries.len()];
-        self.range_sum_batch_into(queries, &mut BatchScratch::new(), &mut out);
-        out
-    }
-
     /// Answers a batch of selectivity queries relative to `n` records,
     /// bit-identical to calling [`Self::try_selectivity`] per query, or
     /// reports the first malformed query. On `Err`, `out` is untouched.
@@ -264,25 +234,6 @@ impl CompiledHistogram {
             *slot = (*slot / n as f64).clamp(0.0, 1.0);
         }
         Ok(())
-    }
-
-    /// Answers a batch of selectivity queries relative to `n` records,
-    /// bit-identical to calling [`Self::selectivity`] per query.
-    ///
-    /// Thin wrapper over [`Self::try_selectivity_batch_into`].
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::range_sum_batch_into`], plus `n == 0`.
-    pub fn selectivity_batch_into(
-        &self,
-        queries: &[(u64, u64)],
-        n: u64,
-        scratch: &mut BatchScratch,
-        out: &mut [f64],
-    ) {
-        self.try_selectivity_batch_into(queries, n, scratch, out)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Answers a batch of point estimates into `out`, bit-identical to
@@ -322,25 +273,6 @@ impl CompiledHistogram {
             out[idx as usize] = self.value_at(seg);
         }
         Ok(())
-    }
-
-    /// Answers a batch of point estimates into `out`, bit-identical to
-    /// calling [`Self::point_estimate`] per key.
-    ///
-    /// Thin wrapper over [`Self::try_point_estimate_batch_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `out.len() != keys.len()`, on any key outside the
-    /// domain, or when the batch exceeds `2^31` keys.
-    pub fn point_estimate_batch_into(
-        &self,
-        keys: &[u64],
-        scratch: &mut BatchScratch,
-        out: &mut [f64],
-    ) {
-        self.try_point_estimate_batch_into(keys, scratch, out)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -391,16 +323,14 @@ mod tests {
             (0..1000).collect(),
         ];
         for keys in cases {
-            let mut main: Vec<(u64, u32)> = keys
-                .iter()
-                .enumerate()
-                .map(|(i, &k)| (k, i as u32))
-                .collect();
-            let mut want = main.clone();
+            let mut scratch = BatchScratch::new();
+            scratch
+                .endpoints
+                .extend(keys.iter().enumerate().map(|(i, &k)| (k, i as u32)));
+            let mut want = scratch.endpoints.clone();
             want.sort_unstable();
-            let mut swap = Vec::new();
-            let mut counts = Vec::new();
-            sort_endpoints(&mut main, &mut swap, &mut counts);
+            scratch.sort();
+            let mut main = scratch.endpoints;
             // Ascending by key, and no endpoint lost or duplicated (tie
             // order is irrelevant to the walk, so normalize fully).
             assert!(main.windows(2).all(|w| w[0].0 <= w[1].0));
@@ -429,20 +359,27 @@ mod tests {
             let queries = random_queries(256, 500);
             let mut scratch = BatchScratch::new();
             let mut out = vec![0.0; queries.len()];
-            compiled.range_sum_batch_into(&queries, &mut scratch, &mut out);
+            compiled
+                .try_range_sum_batch_into(&queries, &mut scratch, &mut out)
+                .unwrap();
             for (&(lo, hi), &batched) in queries.iter().zip(&out) {
                 assert_eq!(
                     batched.to_bits(),
-                    compiled.range_sum(lo, hi).to_bits(),
+                    compiled.try_range_sum(lo, hi).unwrap().to_bits(),
                     "k={k} [{lo},{hi}]"
                 );
             }
             // Scratch reuse across batches must not change answers.
             let more = random_queries(256, 73);
             let mut out2 = vec![0.0; more.len()];
-            compiled.range_sum_batch_into(&more, &mut scratch, &mut out2);
+            compiled
+                .try_range_sum_batch_into(&more, &mut scratch, &mut out2)
+                .unwrap();
             for (&(lo, hi), &batched) in more.iter().zip(&out2) {
-                assert_eq!(batched.to_bits(), compiled.range_sum(lo, hi).to_bits());
+                assert_eq!(
+                    batched.to_bits(),
+                    compiled.try_range_sum(lo, hi).unwrap().to_bits()
+                );
             }
         }
     }
@@ -455,15 +392,25 @@ mod tests {
         let queries = random_queries(128, 200);
         let mut scratch = BatchScratch::new();
         let mut out = vec![0.0; queries.len()];
-        compiled.selectivity_batch_into(&queries, n, &mut scratch, &mut out);
+        compiled
+            .try_selectivity_batch_into(&queries, n, &mut scratch, &mut out)
+            .unwrap();
         for (&(lo, hi), &batched) in queries.iter().zip(&out) {
-            assert_eq!(batched.to_bits(), compiled.selectivity(lo, hi, n).to_bits());
+            assert_eq!(
+                batched.to_bits(),
+                compiled.try_selectivity(lo, hi, n).unwrap().to_bits()
+            );
         }
         let keys: Vec<u64> = (0..300u64).map(|i| scramble(i) % 128).collect();
         let mut pts = vec![0.0; keys.len()];
-        compiled.point_estimate_batch_into(&keys, &mut scratch, &mut pts);
+        compiled
+            .try_point_estimate_batch_into(&keys, &mut scratch, &mut pts)
+            .unwrap();
         for (&x, &batched) in keys.iter().zip(&pts) {
-            assert_eq!(batched.to_bits(), compiled.point_estimate(x).to_bits());
+            assert_eq!(
+                batched.to_bits(),
+                compiled.try_point_estimate(x).unwrap().to_bits()
+            );
         }
     }
 
@@ -472,16 +419,12 @@ mod tests {
         let compiled = compiled_from_signal(&[1.0, 2.0, 3.0, 4.0], 4);
         let mut scratch = BatchScratch::new();
         let mut out: [f64; 0] = [];
-        compiled.range_sum_batch_into(&[], &mut scratch, &mut out);
-        assert!(compiled.range_sum_batch(&[]).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "output buffer")]
-    fn mismatched_output_length_panics() {
-        let compiled = compiled_from_signal(&[1.0, 2.0], 2);
-        let mut out = [0.0; 1];
-        compiled.range_sum_batch_into(&[(0, 1), (0, 0)], &mut BatchScratch::new(), &mut out);
+        compiled
+            .try_range_sum_batch_into(&[], &mut scratch, &mut out)
+            .unwrap();
+        compiled
+            .try_point_estimate_batch_into(&[], &mut scratch, &mut out)
+            .unwrap();
     }
 
     #[test]
@@ -532,30 +475,20 @@ mod tests {
         compiled
             .try_range_sum_batch_into(&[(0, 1), (1, 3)], &mut scratch, &mut out)
             .unwrap();
-        assert_eq!(out[0].to_bits(), compiled.range_sum(0, 1).to_bits());
-        assert_eq!(out[1].to_bits(), compiled.range_sum(1, 3).to_bits());
+        assert_eq!(
+            out[0].to_bits(),
+            compiled.try_range_sum(0, 1).unwrap().to_bits()
+        );
+        assert_eq!(
+            out[1].to_bits(),
+            compiled.try_range_sum(1, 3).unwrap().to_bits()
+        );
     }
 
     #[test]
-    fn try_single_queries_match_the_panicking_api() {
+    fn try_single_queries_report_typed_errors() {
         use crate::error::QueryError;
         let compiled = compiled_from_signal(&[5.0, 1.0, 0.0, 2.0], 4);
-        assert_eq!(
-            compiled.try_range_sum(1, 3).unwrap().to_bits(),
-            compiled.range_sum(1, 3).to_bits()
-        );
-        assert_eq!(
-            compiled.try_selectivity(0, 2, 8).unwrap().to_bits(),
-            compiled.selectivity(0, 2, 8).to_bits()
-        );
-        assert_eq!(
-            compiled.try_point_estimate(3).unwrap().to_bits(),
-            compiled.point_estimate(3).to_bits()
-        );
-        assert_eq!(
-            compiled.try_prefix_sum(2).unwrap().to_bits(),
-            compiled.prefix_sum(2).to_bits()
-        );
         assert_eq!(
             compiled.try_range_sum(2, 1),
             Err(QueryError::EmptyRange { lo: 2, hi: 1 })

@@ -12,8 +12,9 @@ use wh_wavelet::Domain;
 /// is `Sync` — a multi-threaded server shares one instance by reference.
 /// Every query method is allocation-free and runs in `O(log k)` for `k`
 /// retained coefficients (the segment count is at most `3k + 1`); the
-/// batched methods ([`Self::range_sum_batch_into`] and friends)
-/// amortize further.
+/// batched methods ([`Self::try_range_sum_batch_into`] and friends)
+/// amortize further. Every query method is fallible: a malformed query
+/// returns a [`QueryError`], never a panic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledHistogram {
     domain: Domain,
@@ -86,7 +87,7 @@ impl CompiledHistogram {
     }
 
     /// Estimated total frequency over the whole domain (equals
-    /// `prefix_sum(u − 1)` bit for bit).
+    /// `try_prefix_sum(u − 1)` bit for bit).
     pub fn total_estimate(&self) -> f64 {
         self.total
     }
@@ -94,7 +95,7 @@ impl CompiledHistogram {
     /// Index of the segment containing `x` (caller guarantees `x` is in
     /// the domain, so a segment always exists).
     #[inline]
-    pub(crate) fn segment_of(&self, x: u64) -> usize {
+    fn segment_of(&self, x: u64) -> usize {
         self.starts.partition_point(|&s| s <= x) - 1
     }
 
@@ -115,18 +116,6 @@ impl CompiledHistogram {
     #[inline]
     pub(crate) fn value_at(&self, seg: usize) -> f64 {
         self.values[seg]
-    }
-
-    /// Per-segment value array, for the shard slicer.
-    #[inline]
-    pub(crate) fn value_slice(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Per-segment prefix array, for the shard slicer.
-    #[inline]
-    pub(crate) fn prefix_slice(&self) -> &[f64] {
-        &self.prefix
     }
 
     /// Checks that `x` lies in the domain, as a value.
@@ -181,54 +170,6 @@ impl CompiledHistogram {
         }
         Ok((self.try_range_sum(lo, hi)? / n as f64).clamp(0.0, 1.0))
     }
-
-    /// Estimated frequency of the (0-based) key `x`.
-    ///
-    /// Thin wrapper over [`Self::try_point_estimate`]; prefer the `try_`
-    /// variant when the query comes from traffic you do not control.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `x` is outside the domain.
-    pub fn point_estimate(&self, x: u64) -> f64 {
-        self.try_point_estimate(x).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Estimated cumulative frequency of keys `0..=x`.
-    ///
-    /// Thin wrapper over [`Self::try_prefix_sum`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `x` is outside the domain.
-    pub fn prefix_sum(&self, x: u64) -> f64 {
-        self.try_prefix_sum(x).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Estimated total frequency of keys in `[lo, hi]` (0-based,
-    /// inclusive) — two cumulative estimates.
-    ///
-    /// Thin wrapper over [`Self::try_range_sum`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lo > hi` or `hi` is outside the domain.
-    pub fn range_sum(&self, lo: u64, hi: u64) -> f64 {
-        self.try_range_sum(lo, hi).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Estimated selectivity of `[lo, hi]` relative to `n` records,
-    /// clamped to `[0, 1]`.
-    ///
-    /// Thin wrapper over [`Self::try_selectivity`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `n == 0`, `lo > hi`, or `hi` is outside the domain.
-    pub fn selectivity(&self, lo: u64, hi: u64, n: u64) -> f64 {
-        self.try_selectivity(lo, hi, n)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
 }
 
 #[cfg(test)]
@@ -257,17 +198,23 @@ mod tests {
             let (compiled, hist) = compiled_from_signal(&v, k);
             for x in 0..128u64 {
                 assert!(
-                    close(compiled.point_estimate(x), hist.point_estimate(x)),
+                    close(
+                        compiled.try_point_estimate(x).unwrap(),
+                        hist.point_estimate(x)
+                    ),
                     "k={k} x={x}"
                 );
                 assert!(
-                    close(compiled.prefix_sum(x), hist.prefix_sum(x)),
+                    close(compiled.try_prefix_sum(x).unwrap(), hist.prefix_sum(x)),
                     "k={k} x={x}"
                 );
             }
             for (lo, hi) in [(0, 127), (5, 5), (31, 96), (0, 0), (127, 127)] {
                 assert!(
-                    close(compiled.range_sum(lo, hi), hist.range_sum(lo, hi)),
+                    close(
+                        compiled.try_range_sum(lo, hi).unwrap(),
+                        hist.range_sum(lo, hi)
+                    ),
                     "k={k} [{lo},{hi}]"
                 );
             }
@@ -289,8 +236,8 @@ mod tests {
         );
         for x in 0..64u64 {
             assert_eq!(
-                reused.prefix_sum(x).to_bits(),
-                fresh.prefix_sum(x).to_bits()
+                reused.try_prefix_sum(x).unwrap().to_bits(),
+                fresh.try_prefix_sum(x).unwrap().to_bits()
             );
         }
     }
@@ -301,7 +248,7 @@ mod tests {
         let (compiled, _) = compiled_from_signal(&v, 10);
         assert_eq!(
             compiled.total_estimate().to_bits(),
-            compiled.prefix_sum(63).to_bits()
+            compiled.try_prefix_sum(63).unwrap().to_bits()
         );
     }
 
@@ -311,9 +258,9 @@ mod tests {
         let hist = WaveletHistogram::new(domain, std::iter::empty::<(u64, f64)>());
         let compiled = CompiledHistogram::compile(&hist);
         assert_eq!(compiled.num_segments(), 1);
-        assert_eq!(compiled.point_estimate(7), 0.0);
-        assert_eq!(compiled.range_sum(0, 15), 0.0);
-        assert_eq!(compiled.selectivity(3, 9, 100), 0.0);
+        assert_eq!(compiled.try_point_estimate(7).unwrap(), 0.0);
+        assert_eq!(compiled.try_range_sum(0, 15).unwrap(), 0.0);
+        assert_eq!(compiled.try_selectivity(3, 9, 100).unwrap(), 0.0);
         assert_eq!(compiled.total_estimate(), 0.0);
     }
 
@@ -322,17 +269,10 @@ mod tests {
         let v = vec![10.0, 0.0, 0.0, 0.0];
         let (compiled, hist) = compiled_from_signal(&v, 4);
         assert_eq!(
-            compiled.selectivity(0, 0, 10).to_bits(),
+            compiled.try_selectivity(0, 0, 10).unwrap().to_bits(),
             hist.selectivity(0, 0, 10).to_bits()
         );
-        assert!(compiled.selectivity(1, 3, 10) < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn out_of_domain_panics() {
-        let (compiled, _) = compiled_from_signal(&[1.0, 2.0], 2);
-        compiled.point_estimate(2);
+        assert!(compiled.try_selectivity(1, 3, 10).unwrap() < 1e-12);
     }
 
     #[test]

@@ -16,13 +16,14 @@
 //! `F(x, y) = Σ_{x'≤x, y'≤y} est(x', y')` is a closed-form expression in
 //! the cell's four precomputed terms. A rectangle sum is then exactly
 //! four corner evaluations (inclusion–exclusion), `O(log k)` per query
-//! and allocation-free; the batched path sorts each axis's endpoints and
-//! resolves them in one monotone galloping walk, reusing the 1-D
-//! endpoint sort, and is **bit-identical** to one-at-a-time serving
-//! because both paths resolve the same unique segment indices and then
-//! evaluate the identical corner expression in the identical order.
+//! and allocation-free. The batched path validates the whole batch, then
+//! answers every rectangle through the same single-query lookup, so it
+//! is **bit-identical** to one-at-a-time serving by construction. (A
+//! per-axis endpoint sort plus galloping walk, as the 1-D batch path
+//! uses, measured slower here: per-axis segment arrays hold at most
+//! `min(3k + 1, u)` entries, `u ≤ 2¹⁶`, so four binary searches per
+//! rectangle are already cheap.)
 
-use crate::batch::{advance, sort_endpoints};
 use crate::error::QueryError;
 use wh_core::twod::WaveletHistogram2d;
 use wh_wavelet::twod::{point_estimate2d, unpack_slot, SparseCoefs2d};
@@ -179,7 +180,7 @@ impl CompiledHistogram2D {
     }
 
     /// Estimated total mass over the whole grid (equals
-    /// `rectangle_sum(0, u−1, 0, u−1)` bit for bit).
+    /// `try_rectangle_sum((0, u−1, 0, u−1))` bit for bit).
     pub fn total_estimate(&self) -> f64 {
         self.total
     }
@@ -198,9 +199,8 @@ impl CompiledHistogram2D {
     }
 
     /// The corner function `F(x, y) = Σ_{x'≤x, y'≤y} est(x', y')`,
-    /// given the grid segment `(i, j)` containing `(x, y)`. Shared
-    /// verbatim by the single and batched paths so their answers are
-    /// bit-identical.
+    /// given the grid segment `(i, j)` containing `(x, y)`. The total
+    /// and every rectangle evaluate this one expression.
     #[inline]
     fn corner(&self, i: usize, x: u64, j: usize, y: u64) -> f64 {
         let idx = i * self.starts_c.len() + j;
@@ -212,20 +212,24 @@ impl CompiledHistogram2D {
             + dx * dy * self.cell[idx]
     }
 
-    /// Inclusion–exclusion over the four corners, with `F` taken as 0
-    /// below the grid. The segment indices for `xlo − 1` / `ylo − 1`
-    /// are only read when `xlo > 0` / `ylo > 0`. One fixed combination
-    /// order, shared by the single and batched paths.
+    /// Inclusion–exclusion over the four corners of an already
+    /// validated rectangle, with `F` taken as 0 below the grid: four
+    /// segment lookups, four corner evaluations, one fixed combination
+    /// order.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn rect_value(
-        &self,
-        (xlo, xhi, ylo, yhi): (u64, u64, u64, u64),
-        sxl: usize,
-        sxh: usize,
-        syl: usize,
-        syh: usize,
-    ) -> f64 {
+    fn rect_sum(&self, (xlo, xhi, ylo, yhi): (u64, u64, u64, u64)) -> f64 {
+        let sxh = self.row_segment_of(xhi);
+        let syh = self.col_segment_of(yhi);
+        let sxl = if xlo > 0 {
+            self.row_segment_of(xlo - 1)
+        } else {
+            0
+        };
+        let syl = if ylo > 0 {
+            self.col_segment_of(ylo - 1)
+        } else {
+            0
+        };
         let a = self.corner(sxh, xhi, syh, yhi);
         let b = if xlo > 0 {
             self.corner(sxl, xlo - 1, syh, yhi)
@@ -255,28 +259,25 @@ impl CompiledHistogram2D {
         if ylo > yhi {
             return Err(QueryError::EmptyRange { lo: ylo, hi: yhi });
         }
-        for key in [xhi, yhi] {
-            if !self.domain.contains(key) {
-                return Err(QueryError::OutOfDomain {
-                    key,
-                    domain: self.domain,
-                });
-            }
+        self.check_keys([xhi, yhi])
+    }
+
+    /// Checks that both keys lie in the domain, reporting the first that
+    /// does not.
+    fn check_keys(&self, keys: [u64; 2]) -> Result<(), QueryError> {
+        match keys.into_iter().find(|&key| !self.domain.contains(key)) {
+            Some(key) => Err(QueryError::OutOfDomain {
+                key,
+                domain: self.domain,
+            }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Estimated frequency of the cell `(x, y)`, or the reason the
     /// query is malformed.
     pub fn try_point_estimate(&self, x: u64, y: u64) -> Result<f64, QueryError> {
-        for key in [x, y] {
-            if !self.domain.contains(key) {
-                return Err(QueryError::OutOfDomain {
-                    key,
-                    domain: self.domain,
-                });
-            }
-        }
+        self.check_keys([x, y])?;
         Ok(self.cell[self.row_segment_of(x) * self.starts_c.len() + self.col_segment_of(y)])
     }
 
@@ -284,24 +285,7 @@ impl CompiledHistogram2D {
     /// `[xlo, xhi] × [ylo, yhi]`, or the reason the query is malformed.
     pub fn try_rectangle_sum(&self, query: (u64, u64, u64, u64)) -> Result<f64, QueryError> {
         self.check_rect(query)?;
-        let (xlo, xhi, ylo, yhi) = query;
-        let sxl = if xlo > 0 {
-            self.row_segment_of(xlo - 1)
-        } else {
-            0
-        };
-        let syl = if ylo > 0 {
-            self.col_segment_of(ylo - 1)
-        } else {
-            0
-        };
-        Ok(self.rect_value(
-            query,
-            sxl,
-            self.row_segment_of(xhi),
-            syl,
-            self.col_segment_of(yhi),
-        ))
+        Ok(self.rect_sum(query))
     }
 
     /// Estimated selectivity of the rectangle relative to `n` records,
@@ -313,51 +297,15 @@ impl CompiledHistogram2D {
         Ok((self.try_rectangle_sum(query)? / n as f64).clamp(0.0, 1.0))
     }
 
-    /// Estimated frequency of the cell `(x, y)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `x` or `y` is outside the domain.
-    pub fn point_estimate(&self, x: u64, y: u64) -> f64 {
-        self.try_point_estimate(x, y)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Estimated total frequency of the inclusive rectangle.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a range is empty or an upper endpoint is outside the
-    /// domain.
-    pub fn rectangle_sum(&self, query: (u64, u64, u64, u64)) -> f64 {
-        self.try_rectangle_sum(query)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Estimated selectivity of the rectangle relative to `n` records,
-    /// clamped to `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::rectangle_sum`], plus `n == 0`.
-    pub fn selectivity(&self, query: (u64, u64, u64, u64), n: u64) -> f64 {
-        self.try_selectivity(query, n)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Answers a batch of rectangle sums into `out`, bit-identical to
     /// calling [`Self::try_rectangle_sum`] per query, or reports the
-    /// first malformed query. On `Err`, `out` is untouched.
-    ///
-    /// Each axis's `2q` endpoints are radix-sorted (the same LSD
-    /// counting sort as the 1-D batch path) and resolved in one
-    /// galloping walk over that axis's segment starts — `O(q + k)`
-    /// probes per axis instead of `O(q log k)` binary searches — then
-    /// every query combines its four corners in the single-path order.
+    /// first malformed query. All or nothing: every query is validated
+    /// before any answer is written, so on `Err` `out` is untouched.
+    /// `scratch` is unused; see [`BatchScratch2D`].
     pub fn try_rectangle_sum_batch_into(
         &self,
         queries: &[(u64, u64, u64, u64)],
-        scratch: &mut BatchScratch2D,
+        _scratch: &mut BatchScratch2D,
         out: &mut [f64],
     ) -> Result<(), QueryError> {
         if queries.len() != out.len() {
@@ -366,51 +314,13 @@ impl CompiledHistogram2D {
                 out: out.len(),
             });
         }
-        if queries.len() > 1 << 30 {
-            return Err(QueryError::BatchTooLarge {
-                len: queries.len(),
-                max_log2: 30,
-            });
-        }
         for &query in queries {
             self.check_rect(query)?;
         }
-        scratch.resolve_axis(
-            &self.starts_r,
-            queries.iter().map(|&(xlo, xhi, _, _)| (xlo, xhi)),
-        );
-        std::mem::swap(&mut scratch.segs, &mut scratch.x_segs);
-        scratch.resolve_axis(
-            &self.starts_c,
-            queries.iter().map(|&(_, _, ylo, yhi)| (ylo, yhi)),
-        );
-        for (q, (&query, slot)) in queries.iter().zip(out.iter_mut()).enumerate() {
-            *slot = self.rect_value(
-                query,
-                scratch.x_segs[2 * q] as usize,
-                scratch.x_segs[2 * q + 1] as usize,
-                scratch.segs[2 * q] as usize,
-                scratch.segs[2 * q + 1] as usize,
-            );
+        for (&query, slot) in queries.iter().zip(out.iter_mut()) {
+            *slot = self.rect_sum(query);
         }
         Ok(())
-    }
-
-    /// Answers a batch of rectangle sums into `out`, bit-identical to
-    /// calling [`Self::rectangle_sum`] per query.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `out.len() != queries.len()`, on any invalid query,
-    /// or when the batch exceeds `2^30` queries (tag budget).
-    pub fn rectangle_sum_batch_into(
-        &self,
-        queries: &[(u64, u64, u64, u64)],
-        scratch: &mut BatchScratch2D,
-        out: &mut [f64],
-    ) {
-        self.try_rectangle_sum_batch_into(queries, scratch, out)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Answers a batch of selectivity queries relative to `n` records,
@@ -432,74 +342,19 @@ impl CompiledHistogram2D {
         }
         Ok(())
     }
-
-    /// Answers a batch of selectivity queries relative to `n` records,
-    /// bit-identical to calling [`Self::selectivity`] per query.
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::rectangle_sum_batch_into`], plus `n == 0`.
-    pub fn selectivity_batch_into(
-        &self,
-        queries: &[(u64, u64, u64, u64)],
-        n: u64,
-        scratch: &mut BatchScratch2D,
-        out: &mut [f64],
-    ) {
-        self.try_selectivity_batch_into(queries, n, scratch, out)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
 }
 
-/// Reusable scratch of the batched 2-D query path: one endpoint buffer
-/// (reused for both axes), the sort's swap/digit buffers, and the
-/// resolved segment indices per axis. One per serving thread, recycled
-/// across batches and across different compiled histograms — the
-/// scratch carries no per-histogram state.
+/// The scratch parameter of the 2-D batch methods. It holds nothing: a
+/// 2-D batch is answered by single lookups, which need no buffers. The
+/// type stays only so existing callers that construct one and pass it
+/// keep compiling.
 #[derive(Debug, Default)]
-pub struct BatchScratch2D {
-    /// `(key, tag)` endpoints of the axis being resolved; the tag's low
-    /// bit distinguishes a range's `lo − 1` endpoint (0) from its `hi`
-    /// endpoint (1), the rest is the query index.
-    endpoints: Vec<(u64, u32)>,
-    /// Ping-pong buffer of the LSD endpoint sort.
-    swap: Vec<(u64, u32)>,
-    /// Per-pass digit histograms of the endpoint sort.
-    counts: Vec<u32>,
-    /// Segment indices of the axis just resolved, indexed by tag.
-    segs: Vec<u32>,
-    /// Segment indices of the x axis, parked here while y resolves.
-    x_segs: Vec<u32>,
-}
+pub struct BatchScratch2D;
 
 impl BatchScratch2D {
-    /// Scratch with empty buffers.
+    /// The (empty) scratch.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Resolves one axis's endpoints to segment indices in `self.segs`:
-    /// collect, sort, one galloping walk. A range with `lo == 0` leaves
-    /// its lo-slot at the 0 the resize wrote; [`CompiledHistogram2D`]
-    /// never reads it.
-    fn resolve_axis(&mut self, starts: &[u64], ranges: impl Iterator<Item = (u64, u64)>) {
-        self.endpoints.clear();
-        self.segs.clear();
-        for (q, (lo, hi)) in ranges.enumerate() {
-            let tag = (q as u32) << 1;
-            if lo > 0 {
-                self.endpoints.push((lo - 1, tag));
-            }
-            self.endpoints.push((hi, tag | 1));
-            self.segs.push(0);
-            self.segs.push(0);
-        }
-        sort_endpoints(&mut self.endpoints, &mut self.swap, &mut self.counts);
-        let mut seg = 0usize;
-        for &(x, tag) in &self.endpoints {
-            seg = advance(starts, seg, x);
-            self.segs[tag as usize] = seg as u32;
-        }
+        Self
     }
 }
 
@@ -556,7 +411,7 @@ mod tests {
             for x in 0..16u64 {
                 for y in 0..16u64 {
                     let tree = hist.point_estimate(x, y);
-                    let got = compiled.point_estimate(x, y);
+                    let got = compiled.try_point_estimate(x, y).unwrap();
                     assert!(
                         (tree - got).abs() <= 1e-9 * (1.0 + tree.abs()),
                         "k={k} ({x},{y}): {got} vs {tree}"
@@ -575,10 +430,10 @@ mod tests {
                 let mut want = 0.0f64;
                 for x in xlo..=xhi {
                     for y in ylo..=yhi {
-                        want += compiled.point_estimate(x, y);
+                        want += compiled.try_point_estimate(x, y).unwrap();
                     }
                 }
-                let got = compiled.rectangle_sum((xlo, xhi, ylo, yhi));
+                let got = compiled.try_rectangle_sum((xlo, xhi, ylo, yhi)).unwrap();
                 assert!(
                     (want - got).abs() <= 1e-6 * (1.0 + want.abs()),
                     "k={k} [{xlo},{xhi}]x[{ylo},{yhi}]: {got} vs {want}"
@@ -595,20 +450,27 @@ mod tests {
             let queries = random_rects(32, 400);
             let mut scratch = BatchScratch2D::new();
             let mut out = vec![0.0; queries.len()];
-            compiled.rectangle_sum_batch_into(&queries, &mut scratch, &mut out);
+            compiled
+                .try_rectangle_sum_batch_into(&queries, &mut scratch, &mut out)
+                .unwrap();
             for (&q, &batched) in queries.iter().zip(&out) {
                 assert_eq!(
                     batched.to_bits(),
-                    compiled.rectangle_sum(q).to_bits(),
+                    compiled.try_rectangle_sum(q).unwrap().to_bits(),
                     "k={k} {q:?}"
                 );
             }
             // Scratch reuse across batches must not change answers.
             let more = random_rects(32, 57);
             let mut out2 = vec![0.0; more.len()];
-            compiled.selectivity_batch_into(&more, 1000, &mut scratch, &mut out2);
+            compiled
+                .try_selectivity_batch_into(&more, 1000, &mut scratch, &mut out2)
+                .unwrap();
             for (&q, &batched) in more.iter().zip(&out2) {
-                assert_eq!(batched.to_bits(), compiled.selectivity(q, 1000).to_bits());
+                assert_eq!(
+                    batched.to_bits(),
+                    compiled.try_selectivity(q, 1000).unwrap().to_bits()
+                );
             }
         }
     }
@@ -634,7 +496,10 @@ mod tests {
         let (compiled, _) = compiled_from_grid(&test_grid(16), 10);
         assert_eq!(
             compiled.total_estimate().to_bits(),
-            compiled.rectangle_sum((0, 15, 0, 15)).to_bits()
+            compiled
+                .try_rectangle_sum((0, 15, 0, 15))
+                .unwrap()
+                .to_bits()
         );
     }
 
@@ -645,9 +510,9 @@ mod tests {
         let compiled = CompiledHistogram2D::compile(&hist);
         assert_eq!(compiled.num_row_segments(), 1);
         assert_eq!(compiled.num_col_segments(), 1);
-        assert_eq!(compiled.point_estimate(7, 3), 0.0);
-        assert_eq!(compiled.rectangle_sum((0, 15, 2, 9)), 0.0);
-        assert_eq!(compiled.selectivity((3, 9, 0, 15), 100), 0.0);
+        assert_eq!(compiled.try_point_estimate(7, 3).unwrap(), 0.0);
+        assert_eq!(compiled.try_rectangle_sum((0, 15, 2, 9)).unwrap(), 0.0);
+        assert_eq!(compiled.try_selectivity((3, 9, 0, 15), 100).unwrap(), 0.0);
     }
 
     #[test]
@@ -694,15 +559,8 @@ mod tests {
             .unwrap();
         assert_eq!(
             out[1].to_bits(),
-            compiled.rectangle_sum((1, 3, 2, 9)).to_bits()
+            compiled.try_rectangle_sum((1, 3, 2, 9)).unwrap().to_bits()
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn out_of_domain_panics() {
-        let (compiled, _) = compiled_from_grid(&test_grid(16), 4);
-        compiled.rectangle_sum((0, 3, 0, 16));
     }
 
     #[test]

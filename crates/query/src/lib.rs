@@ -35,53 +35,51 @@
 //! ## Batched serving
 //!
 //! Heavy traffic arrives in batches, and adjacent queries touch adjacent
-//! segments. [`CompiledHistogram::range_sum_batch_into`] exploits that:
-//! it radix-sorts the batch's query endpoints (a stream-consumed LSD
-//! counting sort whose buffers live in a caller-held [`BatchScratch`]),
-//! then resolves every endpoint in **one monotone galloping walk** over
-//! the segment array — `O(q + k)` segment probes for the whole batch
-//! instead of `O(q log k)` independent binary searches — and is
-//! **bit-identical** to asking the queries one at a time.
+//! segments. [`CompiledHistogram::try_range_sum_batch_into`] exploits
+//! that: it radix-sorts the batch's query endpoints (a stream-consumed
+//! LSD counting sort whose buffers live in a caller-held
+//! [`BatchScratch`]), then resolves every endpoint in **one monotone
+//! galloping walk** over the segment array — `O(q + k)` segment probes
+//! for the whole batch instead of `O(q log k)` independent binary
+//! searches — and is **bit-identical** to asking the queries one at a
+//! time.
+//!
+//! ## Fallible serving
+//!
+//! Every query method returns `Result<_, QueryError>`: a malformed query
+//! is an error value, never a panic, so the `wh-serve` tier above this
+//! crate can answer traffic it does not control. Callers that build
+//! their own queries and want a bug to abort use `?` or `.expect(..)`.
 //!
 //! ## Example
 //!
 //! ```
 //! use wh_core::WaveletHistogram;
-//! use wh_query::{BatchScratch, CompiledHistogram};
+//! use wh_query::{BatchScratch, CompiledHistogram, QueryError};
 //! use wh_wavelet::Domain;
 //!
+//! # fn main() -> Result<(), QueryError> {
 //! // A tiny histogram: u = 8, average 16/√8 ⇒ two records per key.
 //! let domain = Domain::new(3).unwrap();
 //! let hist = WaveletHistogram::new(domain, [(0, 16.0 / 8f64.sqrt())]);
 //! let compiled = CompiledHistogram::compile(&hist);
 //!
-//! assert!((compiled.point_estimate(5) - 2.0).abs() < 1e-9);
-//! assert!((compiled.range_sum(2, 5) - 8.0).abs() < 1e-9);
-//! assert!((compiled.selectivity(0, 3, 16) - 0.5).abs() < 1e-9);
+//! assert!((compiled.try_point_estimate(5)? - 2.0).abs() < 1e-9);
+//! assert!((compiled.try_range_sum(2, 5)? - 8.0).abs() < 1e-9);
+//! assert!((compiled.try_selectivity(0, 3, 16)? - 0.5).abs() < 1e-9);
+//! assert!(compiled.try_range_sum(5, 2).is_err()); // lo > hi: an error, no panic
 //!
 //! // The batched path answers the same queries bit-identically.
 //! let queries = [(2, 5), (0, 3), (7, 7)];
 //! let mut scratch = BatchScratch::new();
 //! let mut out = [0.0; 3];
-//! compiled.range_sum_batch_into(&queries, &mut scratch, &mut out);
+//! compiled.try_range_sum_batch_into(&queries, &mut scratch, &mut out)?;
 //! for (&(lo, hi), &batched) in queries.iter().zip(&out) {
-//!     assert_eq!(batched.to_bits(), compiled.range_sum(lo, hi).to_bits());
+//!     assert_eq!(batched.to_bits(), compiled.try_range_sum(lo, hi)?.to_bits());
 //! }
+//! # Ok(())
+//! # }
 //! ```
-//!
-//! ## Fallible serving, and shards
-//!
-//! Every query method has a `try_*` variant returning
-//! `Result<_, QueryError>`; the panicking methods are thin wrappers over
-//! them. Code that serves traffic it does not control — the `wh-serve`
-//! tier above this crate — uses only the `try_*` path, so a malformed
-//! query is an error value instead of a downed serving thread.
-//!
-//! [`ShardedHistogram`] partitions a compiled histogram into key-range
-//! shards by *slicing* the compiled arrays bitwise; routed, fanned-out,
-//! merged answers stay bit-identical to the unsharded form (see
-//! `shard.rs` for why slicing, not per-shard compilation, is what makes
-//! that possible).
 //!
 //! The full build→serve dataflow across the workspace is described in
 //! `docs/architecture.md` at the repository root.
@@ -90,13 +88,11 @@ mod batch;
 mod compiled;
 mod compiled2d;
 mod error;
-mod shard;
 
 pub use batch::BatchScratch;
 pub use compiled::CompiledHistogram;
 pub use compiled2d::{BatchScratch2D, CompiledHistogram2D};
 pub use error::QueryError;
-pub use shard::{HistogramShard, ShardedHistogram};
 
 // Re-exported so callers of this crate can name the input types without
 // depending on `wh-core` directly.

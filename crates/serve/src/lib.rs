@@ -1,4 +1,4 @@
-//! # wh-serve — the sharded, lock-free-on-read serving tier
+//! # wh-serve — the lock-free-on-read serving tier
 //!
 //! The paper builds wavelet histograms *so that* something can serve
 //! selectivity estimates from them at query-optimizer traffic rates — a
@@ -6,12 +6,10 @@
 //! candidate plan. This crate is that tier, grown from `wh-query`'s
 //! single compiled histogram into a process-wide serving component:
 //!
-//! * **Sharded.** Published histograms are sliced into key-range shards
-//!   ([`wh_query::ShardedHistogram`]) and addressed by dataset id.
-//!   Batched queries are routed by endpoint, fanned out to shards, and
-//!   the per-shard partials merged — **bit-identically** to querying the
-//!   unsharded [`wh_query::CompiledHistogram`], because shards are
-//!   bitwise slices of the compiled arrays, not independent compiles.
+//! * **Addressed by dataset id.** Each id holds one published
+//!   [`wh_query::CompiledHistogram`] or [`wh_query::CompiledHistogram2D`]
+//!   — one namespace for both kinds — and every answer is
+//!   **bit-identical** to querying that compiled form directly.
 //! * **Lock-free on read.** Rebuilt histograms swap in as whole
 //!   [`Snapshot`] generations through an epoch-swap primitive
 //!   ([`EpochSwap`]): readers poll one atomic per batch and re-clone an
@@ -43,7 +41,7 @@
 //! let compiled = CompiledHistogram::compile(&hist);
 //!
 //! // One tier per process; publish under a dataset id.
-//! let tier = ServeTier::new(4); // shards per histogram ≈ serving cores
+//! let tier = ServeTier::default();
 //! tier.publish(1, &compiled, 16);
 //!
 //! // One handle per serving thread; all methods are fallible.
@@ -78,5 +76,4 @@ pub use tier::{
 // on `wh-query` directly.
 pub use wh_query::{
     BatchScratch, BatchScratch2D, CompiledHistogram, CompiledHistogram2D, QueryError,
-    ShardedHistogram,
 };

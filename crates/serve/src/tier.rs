@@ -1,5 +1,5 @@
-//! The serving tier: dataset-addressed, key-range-sharded histogram
-//! snapshots behind the epoch swap, answered through per-thread handles.
+//! The serving tier: dataset-addressed compiled histograms behind the
+//! epoch swap, answered through per-thread handles.
 //!
 //! ```text
 //!                       ServeTier (one per process)
@@ -9,19 +9,25 @@
 //!        ServeHandle (thread 0)          ServeHandle (thread 1)    …
 //!        EpochReader + BatchScratch      EpochReader + BatchScratch
 //!              │                                │
-//!        route by dataset id ──▶ ShardedHistogram ──▶ fan out by key
-//!        (binary search)          (Arc, immutable)     range, merge
+//!        route by dataset id ──▶ CompiledHistogram | CompiledHistogram2D
+//!        (binary search)          (Arc, immutable) ──▶ try_* query
 //! ```
+//!
+//! Dataset ids form **one namespace**: each id holds either a 1-D
+//! [`CompiledHistogram`] or a 2-D [`CompiledHistogram2D`], and publishing
+//! under an id replaces whatever was there, of either kind. A query of
+//! the other kind than the one published is answered like a query for
+//! an absent id, with [`ServeError::UnknownDataset`].
 //!
 //! Every query runs through the **fallible** `try_*` path of `wh-query`:
 //! a malformed or out-of-domain query from traffic the process does not
 //! control comes back as a [`ServeError`] value — a serving thread never
 //! panics on query input. Answers are bit-identical to querying the
-//! published [`CompiledHistogram`] directly, whatever the shard count
-//! and however many generations have swapped in under the reader.
+//! published compiled histogram directly, however many generations have
+//! swapped in under the reader.
 //!
-//! **Degradation (PR 8).** Publishing is where upstream failures arrive:
-//! a rebuild pipeline (the MapReduce path) can fail or panic. The tier
+//! **Degradation.** Publishing is where upstream failures arrive: a
+//! rebuild pipeline (the MapReduce path) can fail or panic. The tier
 //! absorbs both without dropping reads. [`ServeTier::try_publish`] runs
 //! a fallible rebuild *outside* the writer lock and, on `Err`, leaves
 //! the last good snapshot serving while counting the failure against the
@@ -35,7 +41,7 @@
 //! before the writer lock is taken, so the previous generation keeps
 //! serving and later publishes proceed normally.
 //!
-//! **Freshness (PR 9).** `try_publish` is also the landing point of the
+//! **Freshness.** `try_publish` is also the landing point of the
 //! incremental-maintenance loop: instead of a from-scratch rebuild, the
 //! closure re-snapshots a delta-merged histogram
 //! (`wh_core::incremental::MaintainedHistogram` → compile) in `O(d·log u)`
@@ -49,10 +55,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use wh_query::{
-    BatchScratch, BatchScratch2D, CompiledHistogram, CompiledHistogram2D, QueryError,
-    ShardedHistogram,
-};
+use wh_query::{BatchScratch, BatchScratch2D, CompiledHistogram, CompiledHistogram2D, QueryError};
 
 use crate::epoch::{EpochReader, EpochSwap};
 
@@ -127,26 +130,22 @@ impl DatasetHealth {
     }
 }
 
-/// One published histogram: its sharded compiled form plus the record
-/// count its selectivities are relative to. Entries are shared by `Arc`
-/// across snapshot generations, so republishing dataset A never copies
-/// dataset B's segments.
+/// The compiled form a dataset id is published with.
 #[derive(Debug)]
-struct DatasetEntry {
-    id: DatasetId,
-    records: u64,
-    sharded: ShardedHistogram,
+enum Published {
+    OneD(CompiledHistogram),
+    TwoD(CompiledHistogram2D),
 }
 
-/// One published **2-D** histogram (PR 10): the compiled rectangle-query
-/// form plus its record count. 2-D datasets live in their own id
-/// namespace next to the 1-D entries and ride the same epoch swap —
-/// publishing either kind bumps the one shared generation.
+/// One published dataset: its compiled form plus the record count its
+/// selectivities are relative to. Entries are shared by `Arc` across
+/// snapshot generations, so republishing dataset A never copies dataset
+/// B's arrays.
 #[derive(Debug)]
-struct DatasetEntry2d {
+struct Entry {
     id: DatasetId,
     records: u64,
-    compiled: CompiledHistogram2D,
+    data: Published,
 }
 
 /// One complete generation of the tier: every published dataset,
@@ -156,8 +155,7 @@ struct DatasetEntry2d {
 #[derive(Debug)]
 pub struct Snapshot {
     generation: u64,
-    entries: Vec<Arc<DatasetEntry>>,
-    entries2d: Vec<Arc<DatasetEntry2d>>,
+    entries: Vec<Arc<Entry>>,
 }
 
 impl Snapshot {
@@ -166,38 +164,38 @@ impl Snapshot {
         self.generation
     }
 
-    /// Number of 1-D datasets published in this snapshot.
+    /// Number of datasets, 1-D and 2-D, published in this snapshot.
     pub fn num_datasets(&self) -> usize {
         self.entries.len()
     }
 
-    /// Number of 2-D datasets published in this snapshot.
-    pub fn num_datasets_2d(&self) -> usize {
-        self.entries2d.len()
+    fn entry(&self, id: DatasetId) -> Option<&Entry> {
+        let i = self.entries.binary_search_by_key(&id, |e| e.id).ok()?;
+        Some(&self.entries[i])
     }
 
-    fn entry(&self, id: DatasetId) -> Result<&DatasetEntry, ServeError> {
-        self.entries
-            .binary_search_by_key(&id, |e| e.id)
-            .map(|i| &*self.entries[i])
-            .map_err(|_| ServeError::UnknownDataset(id))
+    /// The 1-D histogram published under `id` and its record count.
+    fn oned(&self, id: DatasetId) -> Result<(&CompiledHistogram, u64), ServeError> {
+        match self.entry(id).map(|e| (&e.data, e.records)) {
+            Some((Published::OneD(h), records)) => Ok((h, records)),
+            _ => Err(ServeError::UnknownDataset(id)),
+        }
     }
 
-    fn entry2d(&self, id: DatasetId) -> Result<&DatasetEntry2d, ServeError> {
-        self.entries2d
-            .binary_search_by_key(&id, |e| e.id)
-            .map(|i| &*self.entries2d[i])
-            .map_err(|_| ServeError::UnknownDataset(id))
+    /// The 2-D histogram published under `id` and its record count.
+    fn twod(&self, id: DatasetId) -> Result<(&CompiledHistogram2D, u64), ServeError> {
+        match self.entry(id).map(|e| (&e.data, e.records)) {
+            Some((Published::TwoD(h), records)) => Ok((h, records)),
+            _ => Err(ServeError::UnknownDataset(id)),
+        }
     }
 }
 
 /// The process-wide serving tier. Histograms are published by dataset
-/// id, sliced into key-range shards, and served lock-free through
-/// [`ServeHandle`]s; rebuilt histograms swap in atomically as whole
-/// [`Snapshot`] generations.
+/// id and served lock-free through [`ServeHandle`]s; rebuilt histograms
+/// swap in atomically as whole [`Snapshot`] generations.
 #[derive(Debug)]
 pub struct ServeTier {
-    shards: usize,
     swap: EpochSwap<Snapshot>,
     /// Serializes publishers: each builds its snapshot from the previous
     /// one, so concurrent publishes must not interleave read-modify-write.
@@ -207,100 +205,77 @@ pub struct ServeTier {
     failures: Mutex<HashMap<DatasetId, u32>>,
 }
 
-impl ServeTier {
-    /// An empty tier (generation 0) whose published histograms are
-    /// sliced into `shards_per_histogram` key-range shards — typically
-    /// the serving core count. Requests beyond a histogram's segment
-    /// count clamp; `0` is treated as 1.
-    pub fn new(shards_per_histogram: usize) -> Self {
+impl Default for ServeTier {
+    /// An empty tier at generation 0.
+    fn default() -> Self {
         Self {
-            shards: shards_per_histogram,
             swap: EpochSwap::new(Arc::new(Snapshot {
                 generation: 0,
                 entries: Vec::new(),
-                entries2d: Vec::new(),
             })),
             writer: Mutex::new(()),
             failures: Mutex::new(HashMap::new()),
         }
     }
+}
 
-    /// The shard count histograms are sliced into at publish time.
-    pub fn shards_per_histogram(&self) -> usize {
-        self.shards
+impl ServeTier {
+    /// An empty tier; the argument is ignored.
+    #[deprecated(note = "the tier no longer shards histograms; use `ServeTier::default()`")]
+    pub fn new(_shards: usize) -> Self {
+        Self::default()
     }
 
     /// Publishes (or republishes) `compiled` under `id`, with
-    /// selectivities relative to `records`. Returns the new generation.
-    /// Readers mid-batch keep the previous generation until their next
-    /// batch; they never block and never observe a half-published tier.
+    /// selectivities relative to `records`, replacing whatever was
+    /// published under `id` before — 1-D or 2-D. Returns the new
+    /// generation. Readers mid-batch keep the previous generation until
+    /// their next batch; they never block and never observe a
+    /// half-published tier.
     pub fn publish(&self, id: DatasetId, compiled: &CompiledHistogram, records: u64) -> u64 {
-        let entry = Arc::new(DatasetEntry {
-            id,
-            records,
-            sharded: ShardedHistogram::shard(compiled, self.shards),
-        });
-        let _writer = self.writer.lock();
+        self.commit(id, Some((records, Published::OneD(compiled.clone()))))
+            .expect("a publish always commits")
+    }
+
+    /// Publishes (or republishes) a compiled **2-D** histogram under
+    /// `id`, exactly as [`ServeTier::publish`] does a 1-D one.
+    pub fn publish2d(&self, id: DatasetId, compiled: &CompiledHistogram2D, records: u64) -> u64 {
+        self.commit(id, Some((records, Published::TwoD(compiled.clone()))))
+            .expect("a publish always commits")
+    }
+
+    /// Withdraws `id` from serving, whatever its kind. Returns the new
+    /// generation, or `None` (and publishes nothing) when `id` was not
+    /// present. Removing a dataset also forgets its failure streak.
+    pub fn remove(&self, id: DatasetId) -> Option<u64> {
+        self.commit(id, None)
+    }
+
+    /// The one writer path: installs `data` under `id` (`None` removes
+    /// it), publishes the next generation, and ends the dataset's
+    /// failure streak — a landed publish heals it, a removal forgets it.
+    /// Returns `None`, changing nothing, when removing an absent id. The
+    /// entry is built before the writer lock is taken.
+    fn commit(&self, id: DatasetId, data: Option<(u64, Published)>) -> Option<u64> {
+        let entry = data.map(|(records, data)| Arc::new(Entry { id, records, data }));
+        let writer = self.writer.lock();
         let (_, current) = self.swap.load();
         let mut entries = current.entries.clone();
-        match entries.binary_search_by_key(&id, |e| e.id) {
-            Ok(i) => entries[i] = entry,
-            Err(i) => entries.insert(i, entry),
+        match (entries.binary_search_by_key(&id, |e| e.id), entry) {
+            (Ok(i), Some(entry)) => entries[i] = entry,
+            (Err(i), Some(entry)) => entries.insert(i, entry),
+            (Ok(i), None) => {
+                entries.remove(i);
+            }
+            (Err(_), None) => return None,
         }
         let generation = current.generation + 1;
         self.swap.store(Arc::new(Snapshot {
             generation,
             entries,
-            entries2d: current.entries2d.clone(),
         }));
-        drop(_writer);
-        // A landed publish heals the dataset whatever its failure streak.
+        drop(writer);
         self.failures.lock().remove(&id);
-        generation
-    }
-
-    /// Publishes (or republishes) a compiled **2-D** histogram under
-    /// `id` (its own namespace, separate from the 1-D ids), with
-    /// selectivities relative to `records`. The snapshot swaps in
-    /// atomically exactly as for [`ServeTier::publish`]: readers
-    /// mid-batch keep the previous generation and never observe a
-    /// half-published tier.
-    pub fn publish2d(&self, id: DatasetId, compiled: &CompiledHistogram2D, records: u64) -> u64 {
-        let entry = Arc::new(DatasetEntry2d {
-            id,
-            records,
-            compiled: compiled.clone(),
-        });
-        let _writer = self.writer.lock();
-        let (_, current) = self.swap.load();
-        let mut entries2d = current.entries2d.clone();
-        match entries2d.binary_search_by_key(&id, |e| e.id) {
-            Ok(i) => entries2d[i] = entry,
-            Err(i) => entries2d.insert(i, entry),
-        }
-        let generation = current.generation + 1;
-        self.swap.store(Arc::new(Snapshot {
-            generation,
-            entries: current.entries.clone(),
-            entries2d,
-        }));
-        generation
-    }
-
-    /// Withdraws 2-D dataset `id` from serving. Returns the new
-    /// generation, or `None` (and publishes nothing) when absent.
-    pub fn remove2d(&self, id: DatasetId) -> Option<u64> {
-        let _writer = self.writer.lock();
-        let (_, current) = self.swap.load();
-        let i = current.entries2d.binary_search_by_key(&id, |e| e.id).ok()?;
-        let mut entries2d = current.entries2d.clone();
-        entries2d.remove(i);
-        let generation = current.generation + 1;
-        self.swap.store(Arc::new(Snapshot {
-            generation,
-            entries: current.entries.clone(),
-            entries2d,
-        }));
         Some(generation)
     }
 
@@ -350,38 +325,18 @@ impl ServeTier {
         out
     }
 
-    /// Withdraws `id` from serving. Returns the new generation, or
-    /// `None` (and publishes nothing) when `id` was not present.
-    /// Removing a dataset also forgets its failure streak.
-    pub fn remove(&self, id: DatasetId) -> Option<u64> {
-        let _writer = self.writer.lock();
-        let (_, current) = self.swap.load();
-        let i = current.entries.binary_search_by_key(&id, |e| e.id).ok()?;
-        let mut entries = current.entries.clone();
-        entries.remove(i);
-        let generation = current.generation + 1;
-        self.swap.store(Arc::new(Snapshot {
-            generation,
-            entries,
-            entries2d: current.entries2d.clone(),
-        }));
-        drop(_writer);
-        self.failures.lock().remove(&id);
-        Some(generation)
-    }
-
     /// The current generation counter.
     pub fn generation(&self) -> u64 {
         self.swap.load().1.generation
     }
 
-    /// The record count `id` was last published with, or `None` when the
-    /// dataset is absent from the current snapshot. The incremental-
-    /// maintenance loop reads this before a delta publish so the
-    /// refreshed snapshot lands with `records + newly absorbed records`,
-    /// keeping served selectivities relative to *all* data.
+    /// The record count `id` (1-D or 2-D) was last published with, or
+    /// `None` when the dataset is absent from the current snapshot. The
+    /// incremental-maintenance loop reads this before a delta publish so
+    /// the refreshed snapshot lands with `records + newly absorbed
+    /// records`, keeping served selectivities relative to *all* data.
     pub fn dataset_records(&self, id: DatasetId) -> Option<u64> {
-        self.swap.load().1.entry(id).ok().map(|e| e.records)
+        self.swap.load().1.entry(id).map(|e| e.records)
     }
 
     /// A serving handle for one reader thread: its own snapshot cache
@@ -392,7 +347,6 @@ impl ServeTier {
             tier: self,
             reader: self.swap.reader(),
             scratch: BatchScratch::new(),
-            scratch2d: BatchScratch2D::new(),
         }
     }
 }
@@ -408,7 +362,6 @@ pub struct ServeHandle<'t> {
     tier: &'t ServeTier,
     reader: EpochReader<Snapshot>,
     scratch: BatchScratch,
-    scratch2d: BatchScratch2D,
 }
 
 impl ServeHandle<'_> {
@@ -419,139 +372,116 @@ impl ServeHandle<'_> {
         self.reader.get(&self.tier.swap)
     }
 
-    /// Answers a batch of range sums from `id` into `out`,
-    /// bit-identical to the unsharded compiled histogram.
+    /// Answers a batch of range sums from 1-D dataset `id` into `out`,
+    /// bit-identical to the published compiled histogram.
     pub fn try_range_sum_batch_into(
         &mut self,
         id: DatasetId,
         queries: &[(u64, u64)],
         out: &mut [f64],
     ) -> Result<(), ServeError> {
-        let snap = self.reader.get(&self.tier.swap);
-        let entry = snap.entry(id)?;
-        entry
-            .sharded
-            .try_range_sum_batch_into(queries, &mut self.scratch, out)?;
-        Ok(())
+        let (h, _) = self.reader.get(&self.tier.swap).oned(id)?;
+        Ok(h.try_range_sum_batch_into(queries, &mut self.scratch, out)?)
     }
 
-    /// Answers a batch of selectivities from `id` into `out`, relative
-    /// to the record count published with the dataset.
+    /// Answers a batch of selectivities from 1-D dataset `id` into
+    /// `out`, relative to the record count published with the dataset.
     pub fn try_selectivity_batch_into(
         &mut self,
         id: DatasetId,
         queries: &[(u64, u64)],
         out: &mut [f64],
     ) -> Result<(), ServeError> {
-        let snap = self.reader.get(&self.tier.swap);
-        let entry = snap.entry(id)?;
-        entry
-            .sharded
-            .try_selectivity_batch_into(queries, entry.records, &mut self.scratch, out)?;
-        Ok(())
+        let (h, records) = self.reader.get(&self.tier.swap).oned(id)?;
+        Ok(h.try_selectivity_batch_into(queries, records, &mut self.scratch, out)?)
     }
 
-    /// Answers a batch of point estimates from `id` into `out`.
+    /// Answers a batch of point estimates from 1-D dataset `id` into
+    /// `out`.
     pub fn try_point_estimate_batch_into(
         &mut self,
         id: DatasetId,
         keys: &[u64],
         out: &mut [f64],
     ) -> Result<(), ServeError> {
-        let snap = self.reader.get(&self.tier.swap);
-        let entry = snap.entry(id)?;
-        entry
-            .sharded
-            .try_point_estimate_batch_into(keys, &mut self.scratch, out)?;
-        Ok(())
+        let (h, _) = self.reader.get(&self.tier.swap).oned(id)?;
+        Ok(h.try_point_estimate_batch_into(keys, &mut self.scratch, out)?)
     }
 
-    /// One range sum from `id`.
+    /// One range sum from 1-D dataset `id`.
     pub fn try_range_sum(&mut self, id: DatasetId, lo: u64, hi: u64) -> Result<f64, ServeError> {
-        let snap = self.reader.get(&self.tier.swap);
-        Ok(snap.entry(id)?.sharded.try_range_sum(lo, hi)?)
+        let (h, _) = self.reader.get(&self.tier.swap).oned(id)?;
+        Ok(h.try_range_sum(lo, hi)?)
     }
 
-    /// One selectivity from `id`, relative to its published record count.
+    /// One selectivity from 1-D dataset `id`, relative to its published
+    /// record count.
     pub fn try_selectivity(&mut self, id: DatasetId, lo: u64, hi: u64) -> Result<f64, ServeError> {
-        let snap = self.reader.get(&self.tier.swap);
-        let entry = snap.entry(id)?;
-        Ok(entry.sharded.try_selectivity(lo, hi, entry.records)?)
+        let (h, records) = self.reader.get(&self.tier.swap).oned(id)?;
+        Ok(h.try_selectivity(lo, hi, records)?)
     }
 
-    /// One point estimate from `id`.
+    /// One point estimate from 1-D dataset `id`.
     pub fn try_point_estimate(&mut self, id: DatasetId, x: u64) -> Result<f64, ServeError> {
-        let snap = self.reader.get(&self.tier.swap);
-        Ok(snap.entry(id)?.sharded.try_point_estimate(x)?)
+        let (h, _) = self.reader.get(&self.tier.swap).oned(id)?;
+        Ok(h.try_point_estimate(x)?)
     }
 
-    /// Answers a batch of 2-D rectangle sums from `id` into `out`,
-    /// bit-identical to the published [`CompiledHistogram2D`]. Each
-    /// query is `(xlo, xhi, ylo, yhi)`, inclusive on both axes.
+    /// Answers a batch of rectangle sums from 2-D dataset `id` into
+    /// `out`, bit-identical to the published [`CompiledHistogram2D`].
+    /// Each query is `(xlo, xhi, ylo, yhi)`, inclusive on both axes.
     pub fn try_rectangle_sum_batch_into(
         &mut self,
         id: DatasetId,
         queries: &[(u64, u64, u64, u64)],
         out: &mut [f64],
     ) -> Result<(), ServeError> {
-        let snap = self.reader.get(&self.tier.swap);
-        let entry = snap.entry2d(id)?;
-        entry
-            .compiled
-            .try_rectangle_sum_batch_into(queries, &mut self.scratch2d, out)?;
-        Ok(())
+        let (h, _) = self.reader.get(&self.tier.swap).twod(id)?;
+        Ok(h.try_rectangle_sum_batch_into(queries, &mut BatchScratch2D, out)?)
     }
 
-    /// Answers a batch of 2-D rectangle selectivities from `id` into
-    /// `out`, relative to the record count published with the dataset.
+    /// Answers a batch of rectangle selectivities from 2-D dataset `id`
+    /// into `out`, relative to the record count published with it.
     pub fn try_rectangle_selectivity_batch_into(
         &mut self,
         id: DatasetId,
         queries: &[(u64, u64, u64, u64)],
         out: &mut [f64],
     ) -> Result<(), ServeError> {
-        let snap = self.reader.get(&self.tier.swap);
-        let entry = snap.entry2d(id)?;
-        entry.compiled.try_selectivity_batch_into(
-            queries,
-            entry.records,
-            &mut self.scratch2d,
-            out,
-        )?;
-        Ok(())
+        let (h, records) = self.reader.get(&self.tier.swap).twod(id)?;
+        Ok(h.try_selectivity_batch_into(queries, records, &mut BatchScratch2D, out)?)
     }
 
-    /// One 2-D rectangle sum from `id`.
+    /// One rectangle sum from 2-D dataset `id`.
     pub fn try_rectangle_sum(
         &mut self,
         id: DatasetId,
         query: (u64, u64, u64, u64),
     ) -> Result<f64, ServeError> {
-        let snap = self.reader.get(&self.tier.swap);
-        Ok(snap.entry2d(id)?.compiled.try_rectangle_sum(query)?)
+        let (h, _) = self.reader.get(&self.tier.swap).twod(id)?;
+        Ok(h.try_rectangle_sum(query)?)
     }
 
-    /// One 2-D rectangle selectivity from `id`, relative to its
+    /// One rectangle selectivity from 2-D dataset `id`, relative to its
     /// published record count.
     pub fn try_rectangle_selectivity(
         &mut self,
         id: DatasetId,
         query: (u64, u64, u64, u64),
     ) -> Result<f64, ServeError> {
-        let snap = self.reader.get(&self.tier.swap);
-        let entry = snap.entry2d(id)?;
-        Ok(entry.compiled.try_selectivity(query, entry.records)?)
+        let (h, records) = self.reader.get(&self.tier.swap).twod(id)?;
+        Ok(h.try_selectivity(query, records)?)
     }
 
-    /// One 2-D cell estimate from `id`.
+    /// One cell estimate from 2-D dataset `id`.
     pub fn try_point_estimate2d(
         &mut self,
         id: DatasetId,
         x: u64,
         y: u64,
     ) -> Result<f64, ServeError> {
-        let snap = self.reader.get(&self.tier.swap);
-        Ok(snap.entry2d(id)?.compiled.try_point_estimate(x, y)?)
+        let (h, _) = self.reader.get(&self.tier.swap).twod(id)?;
+        Ok(h.try_point_estimate(x, y)?)
     }
 }
 
@@ -575,7 +505,7 @@ mod tests {
 
     #[test]
     fn publish_remove_and_generations() {
-        let tier = ServeTier::new(4);
+        let tier = ServeTier::default();
         assert_eq!(tier.generation(), 0);
         let a = compiled_from_signal(&[1.0, 2.0, 3.0, 4.0], 4);
         let b = compiled_from_signal(&[9.0, 9.0], 2);
@@ -592,142 +522,88 @@ mod tests {
     }
 
     #[test]
-    fn handle_answers_bit_identical_to_the_compiled_form() {
-        let v: Vec<f64> = (0..128).map(|i| ((i * 13) % 29) as f64).collect();
-        let compiled = compiled_from_signal(&v, 15);
-        let n = 5_000u64;
-        let tier = ServeTier::new(3);
-        tier.publish(42, &compiled, n);
-        let mut h = tier.handle();
-
-        let queries: Vec<(u64, u64)> = (0..100u64).map(|i| (i, i + 27)).collect();
-        let mut got = vec![0.0; queries.len()];
-        h.try_selectivity_batch_into(42, &queries, &mut got)
-            .unwrap();
-        let mut want = vec![0.0; queries.len()];
-        compiled.selectivity_batch_into(&queries, n, &mut BatchScratch::new(), &mut want);
-        for (a, b) in want.iter().zip(&got) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(
-            h.try_range_sum(42, 5, 99).unwrap().to_bits(),
-            compiled.range_sum(5, 99).to_bits()
-        );
-        assert_eq!(
-            h.try_point_estimate(42, 77).unwrap().to_bits(),
-            compiled.point_estimate(77).to_bits()
-        );
-    }
-
-    #[test]
-    fn bad_queries_are_errors_not_panics() {
-        let tier = ServeTier::new(2);
-        let compiled = compiled_from_signal(&[1.0, 2.0, 3.0, 4.0], 4);
-        tier.publish(1, &compiled, 0); // zero records: selectivity must error
-        let mut h = tier.handle();
-        let sentinel = [-1.0; 2];
-        let mut out = sentinel;
-
-        assert_eq!(h.try_range_sum(9, 0, 1), Err(ServeError::UnknownDataset(9)));
-        assert_eq!(
-            h.try_range_sum(1, 3, 2),
-            Err(ServeError::Query(QueryError::EmptyRange { lo: 3, hi: 2 }))
-        );
-        assert_eq!(
-            h.try_selectivity(1, 0, 1),
-            Err(ServeError::Query(QueryError::ZeroRecords))
-        );
-        let err = h
-            .try_range_sum_batch_into(1, &[(0, 1), (0, 77)], &mut out)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            ServeError::Query(QueryError::OutOfDomain { key: 77, .. })
-        ));
-        assert_eq!(out, sentinel, "failed batch must not touch the output");
-        // The handle keeps serving after every error.
-        assert!(h.try_range_sum(1, 0, 3).is_ok());
-    }
-
-    #[test]
     fn republish_swaps_answers_atomically_for_existing_handles() {
-        let tier = ServeTier::new(2);
+        let tier = ServeTier::default();
         let old = compiled_from_signal(&[4.0, 0.0, 0.0, 0.0], 4);
         let new = compiled_from_signal(&[0.0, 0.0, 0.0, 4.0], 4);
         tier.publish(5, &old, 4);
         let mut h = tier.handle();
         assert_eq!(
             h.try_range_sum(5, 0, 0).unwrap().to_bits(),
-            old.range_sum(0, 0).to_bits()
+            old.try_range_sum(0, 0).unwrap().to_bits()
         );
         tier.publish(5, &new, 4);
         assert_eq!(
             h.try_range_sum(5, 0, 0).unwrap().to_bits(),
-            new.range_sum(0, 0).to_bits()
+            new.try_range_sum(0, 0).unwrap().to_bits()
         );
     }
 
     #[test]
     fn twod_publish_swap_and_remove_share_the_generation() {
         use wh_core::twod::WaveletHistogram2d;
-        use wh_query::CompiledHistogram2D;
         let domain = Domain::new(3).unwrap();
         // Average-only histograms (packed slot 0 is the 2-D average).
         let old = CompiledHistogram2D::compile(&WaveletHistogram2d::new(domain, [(0, 64.0 / 8.0)]));
         let new = CompiledHistogram2D::compile(&WaveletHistogram2d::new(domain, [(0, 32.0 / 8.0)]));
-        let tier = ServeTier::new(2);
+        let tier = ServeTier::default();
         let oned = compiled_from_signal(&[1.0, 2.0, 3.0, 4.0], 4);
         assert_eq!(tier.publish(5, &oned, 10), 1);
-        assert_eq!(tier.publish2d(5, &old, 64), 2); // same id, own namespace
+        assert_eq!(tier.publish2d(6, &old, 64), 2);
         let mut h = tier.handle();
-        assert_eq!(h.snapshot().num_datasets(), 1);
-        assert_eq!(h.snapshot().num_datasets_2d(), 1);
+        assert_eq!(h.snapshot().num_datasets(), 2);
 
         // Bit-identical to direct serving, single and batched.
         let queries = [(0, 7, 0, 7), (1, 3, 2, 5), (0, 0, 0, 0)];
         let mut got = [0.0; 3];
-        h.try_rectangle_sum_batch_into(5, &queries, &mut got)
+        h.try_rectangle_sum_batch_into(6, &queries, &mut got)
             .unwrap();
         for (&q, &g) in queries.iter().zip(&got) {
-            assert_eq!(g.to_bits(), old.rectangle_sum(q).to_bits());
+            assert_eq!(g.to_bits(), old.try_rectangle_sum(q).unwrap().to_bits());
         }
         assert_eq!(
-            h.try_rectangle_selectivity(5, (0, 7, 0, 7))
+            h.try_rectangle_selectivity(6, (0, 7, 0, 7))
                 .unwrap()
                 .to_bits(),
-            old.selectivity((0, 7, 0, 7), 64).to_bits()
+            old.try_selectivity((0, 7, 0, 7), 64).unwrap().to_bits()
         );
         assert_eq!(
-            h.try_point_estimate2d(5, 3, 3).unwrap().to_bits(),
-            old.point_estimate(3, 3).to_bits()
-        );
-
-        // Republish swaps answers atomically for the existing handle,
-        // and leaves the 1-D entry serving untouched.
-        tier.publish2d(5, &new, 64);
-        assert_eq!(
-            h.try_rectangle_sum(5, (0, 7, 0, 7)).unwrap().to_bits(),
-            new.rectangle_sum((0, 7, 0, 7)).to_bits()
-        );
-        assert_eq!(
-            h.try_range_sum(5, 0, 3).unwrap().to_bits(),
-            oned.range_sum(0, 3).to_bits()
+            h.try_point_estimate2d(6, 3, 3).unwrap().to_bits(),
+            old.try_point_estimate(3, 3).unwrap().to_bits()
         );
 
-        // Unknown ids and malformed queries are errors, not panics.
+        // A query of the other kind than the one published is unknown.
+        assert_eq!(h.try_range_sum(6, 0, 3), Err(ServeError::UnknownDataset(6)));
         assert_eq!(
-            h.try_rectangle_sum(6, (0, 1, 0, 1)),
-            Err(ServeError::UnknownDataset(6))
+            h.try_rectangle_sum(5, (0, 1, 0, 1)),
+            Err(ServeError::UnknownDataset(5))
         );
         assert_eq!(
-            h.try_rectangle_sum(5, (3, 2, 0, 1)),
+            h.try_rectangle_sum(6, (3, 2, 0, 1)),
             Err(ServeError::Query(QueryError::EmptyRange { lo: 3, hi: 2 }))
         );
 
-        assert_eq!(tier.remove2d(5), Some(4));
-        assert_eq!(tier.remove2d(5), None);
-        assert_eq!(h.snapshot().num_datasets_2d(), 0);
-        assert_eq!(h.snapshot().num_datasets(), 1);
+        // Publishing 2-D under the 1-D id replaces it, atomically for the
+        // existing handle, and leaves the other dataset untouched.
+        assert_eq!(tier.publish2d(5, &new, 32), 3);
+        assert_eq!(h.snapshot().num_datasets(), 2);
+        assert_eq!(h.try_range_sum(5, 0, 3), Err(ServeError::UnknownDataset(5)));
+        assert_eq!(
+            h.try_rectangle_sum(5, (0, 7, 0, 7)).unwrap().to_bits(),
+            new.try_rectangle_sum((0, 7, 0, 7)).unwrap().to_bits()
+        );
+        assert_eq!(tier.dataset_records(5), Some(32));
+        assert_eq!(
+            h.try_rectangle_sum(6, (0, 7, 0, 7)).unwrap().to_bits(),
+            old.try_rectangle_sum((0, 7, 0, 7)).unwrap().to_bits()
+        );
+
+        // One remove for either kind.
+        assert_eq!(tier.remove(6), Some(4));
+        assert_eq!(tier.remove(6), None);
+        assert_eq!(tier.remove(5), Some(5));
+        assert_eq!(h.snapshot().num_datasets(), 0);
+        assert_eq!(tier.generation(), 5);
     }
 
     #[test]
@@ -751,7 +627,7 @@ mod tests {
 
     #[test]
     fn failed_rebuilds_degrade_then_quarantine_then_heal() {
-        let tier = ServeTier::new(2);
+        let tier = ServeTier::default();
         let good = compiled_from_signal(&[1.0, 2.0, 3.0, 4.0], 4);
         tier.publish(5, &good, 4);
         assert_eq!(tier.dataset_health(5), DatasetHealth::Healthy);
@@ -784,7 +660,7 @@ mod tests {
 
     #[test]
     fn degraded_dataset_keeps_serving_the_last_good_snapshot() {
-        let tier = ServeTier::new(2);
+        let tier = ServeTier::default();
         let good = compiled_from_signal(&[4.0, 0.0, 0.0, 0.0], 4);
         tier.publish(9, &good, 4);
         let mut h = tier.handle();
@@ -800,7 +676,7 @@ mod tests {
 
     #[test]
     fn dataset_records_tracks_the_published_count() {
-        let tier = ServeTier::new(2);
+        let tier = ServeTier::default();
         assert_eq!(tier.dataset_records(4), None);
         let compiled = compiled_from_signal(&[1.0, 2.0, 3.0, 4.0], 4);
         tier.publish(4, &compiled, 10);
@@ -818,7 +694,7 @@ mod tests {
 
     #[test]
     fn removing_a_dataset_forgets_its_failure_streak() {
-        let tier = ServeTier::new(1);
+        let tier = ServeTier::default();
         let good = compiled_from_signal(&[1.0, 1.0], 2);
         tier.publish(3, &good, 2);
         let _ = tier.try_publish(3, 2, || Err::<CompiledHistogram, _>(()));

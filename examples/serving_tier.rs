@@ -1,6 +1,6 @@
-//! The serving tier: shard a compiled histogram across cores, serve
-//! batched selectivities from epoch snapshots, and hot-swap a rebuilt
-//! histogram underneath live reader threads.
+//! The serving tier: publish a compiled histogram, serve batched
+//! selectivities from epoch snapshots on several cores, and hot-swap a
+//! rebuilt histogram underneath live reader threads.
 //!
 //! This example runs the full deployment loop the `wh-serve` crate
 //! exists for: build two generations of a histogram on the MapReduce
@@ -10,7 +10,7 @@
 //! two mid-traffic and watch every reader pick it up without blocking
 //! or observing a torn snapshot. Malformed queries come back as values,
 //! not panics — a bad predicate can never take down a serving thread.
-//! See `docs/architecture.md` for the shard/route/merge/epoch-swap
+//! See `docs/architecture.md` for the publish/route/epoch-swap
 //! dataflow.
 //!
 //! ```text
@@ -48,14 +48,13 @@ fn main() {
     let gen1 = CompiledHistogram::compile(&sampled);
     let gen2 = CompiledHistogram::compile(&exact);
 
-    // One tier per process: four shards per histogram, one per core.
-    let tier = ServeTier::new(READERS);
+    // One tier per process, shared by every serving thread.
+    let tier = ServeTier::default();
     tier.publish(DATASET, &gen1, n);
     println!(
-        "published dataset {DATASET} gen {} — {} segments across {} shards",
+        "published dataset {DATASET} gen {} — {} segments",
         tier.generation(),
-        gen1.num_segments(),
-        tier.shards_per_histogram()
+        gen1.num_segments()
     );
 
     // Reader threads serve batches in a closed loop while the main
@@ -113,11 +112,9 @@ fn main() {
     for (r, (batches, first)) in per_reader.iter().enumerate() {
         println!("  reader {r}: {batches} batches served, first estimate now {first:.6}");
         // Post-swap answers are the exact build's, bit for bit.
-        assert_eq!(
-            first.to_bits(),
-            gen2.selectivity(r as u64 * 11, r as u64 * 11 + 64, n)
-                .to_bits()
-        );
+        let lo = r as u64 * 11;
+        let direct = gen2.try_selectivity(lo, lo + 64, n).expect("in domain");
+        assert_eq!(first.to_bits(), direct.to_bits());
     }
 
     // Bad queries are data, not crashes: the fallible path reports them

@@ -87,7 +87,7 @@ fn main() {
     // and answer rectangle selectivities through a handle — the shape a
     // query optimizer's cardinality probe takes.
     let compiled = CompiledHistogram2D::compile(&engine.histogram);
-    let tier = ServeTier::new(4);
+    let tier = ServeTier::default();
     let n = dataset.num_records();
     tier.publish2d(1, &compiled, n);
     let mut handle = tier.handle();

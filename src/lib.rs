@@ -37,7 +37,7 @@ pub use wh_wavelet as wavelet;
 
 /// The query-serving layer (compiled histograms, batched selectivity).
 pub use wh_query as query;
-/// The serving tier (sharded snapshots, epoch swaps, per-thread handles).
+/// The serving tier (dataset-addressed snapshots, epoch swaps, per-thread handles).
 pub use wh_serve as serve;
 
 /// The histogram builders.
@@ -49,5 +49,5 @@ pub use wh_core::incremental;
 /// Two-dimensional histograms.
 pub use wh_core::twod;
 pub use wh_core::{BuildResult, HistogramBuilder, MaintainedHistogram, WaveletHistogram};
-pub use wh_query::{BatchScratch, CompiledHistogram, QueryError, ShardedHistogram};
+pub use wh_query::{BatchScratch, CompiledHistogram, QueryError};
 pub use wh_serve::{ServeError, ServeHandle, ServeTier};

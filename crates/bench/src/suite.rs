@@ -9,7 +9,7 @@
 //! |---|---|---|
 //! | `haar_forward` | in-place Haar transform | allocating transform |
 //! | `radix_sort` | LSD radix sort of a spill run | stable comparison sort |
-//! | `dense_combine` | dense-table combining (radix + domain hint) | hash-map combining |
+//! | `dense_combine` | dense-table combining (radix + domain hint) | comparison-sort combining, then comparison sort-at-reduce |
 //! | `dense_reduce` | dense-reduce strategy (flat slot arrays) | sort-at-reduce strategy |
 //! | `shuffle_throughput` | radix shuffle → parallel dense reduce | global sort + sequential reduce |
 //! | `wire_shuffle` (Unix) | multi-process engine: forked workers shipping framed pairs over pipes | the same job in-process |
@@ -475,10 +475,12 @@ fn radix_sort(opts: SuiteOptions) -> BenchRecord {
     }
 }
 
-/// Dense-table vs hash-map combining: the same combiner-heavy wordcount
-/// job on the pipelined engine, once with the radix codec + key-domain
-/// hint (dense flat-array combine) and once without (sort/hash combine).
-/// Outputs and logical metrics must be byte-identical.
+/// Dense-table vs comparison-sort combining: the same combiner-heavy
+/// wordcount job on the pipelined engine, once with the radix codec +
+/// key-domain hint (dense flat-array combine, then dense reduce) and once
+/// without (comparison-sort combine, then comparison sort-at-reduce on
+/// each of the four partitions). Outputs and logical metrics must be
+/// byte-identical.
 fn dense_combine(opts: SuiteOptions) -> BenchRecord {
     let (splits, pairs_per_split) = if opts.fast {
         (8u32, 40_000u64)

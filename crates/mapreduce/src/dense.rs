@@ -15,7 +15,7 @@
 //!   *actual* key range (`max − min + 1` radixes, never the full domain),
 //!   and key groups are delivered to the reduce function in ascending key
 //!   order with values in `(split id, arrival order)` order — the exact
-//!   sequence of the sort/merge paths it replaces, with no sort at all.
+//!   sequence of the sort-at-reduce path it replaces, with no sort at all.
 //!
 //! Both tables are owned by a worker and **reused across every task or
 //! partition that worker processes**: slot arrays are reset via the
@@ -27,7 +27,7 @@ use crate::context::ReduceContext;
 use crate::engine::ReduceDyn;
 
 /// Flat-array combiner state for a bounded key domain. One per map
-/// worker (or per streaming compactor), recycled across tasks.
+/// worker, recycled across tasks.
 pub(crate) struct DenseTable<K, V> {
     /// `radix → group index + 1`; 0 = untouched. Reset via `groups`.
     slots: Vec<u32>,
@@ -125,7 +125,7 @@ impl<K: Ord + Clone, V> DenseTable<K, V> {
 pub(crate) const FIRST_ARRIVAL: u32 = 1 << 31;
 
 /// Flat-array reduce-side grouper for a bounded key domain: the dense
-/// counterpart of the sort-at-reduce and merge strategies. One per reduce
+/// counterpart of the sort-at-reduce strategy. One per reduce
 /// worker thread, recycled across every partition that worker reduces.
 ///
 /// The shape is a counting sort that never moves keys: a counting pass
@@ -196,7 +196,7 @@ impl<K, V> DenseReducer<K, V> {
     /// invokes `reduce` once per key, key groups in ascending key order
     /// and each group's values in `(split id, arrival order)` order —
     /// `runs` must arrive in split-id order with arrival order inside
-    /// each run, exactly the shape the no-merge shuffle ships.
+    /// each run, exactly the shape the shuffle ships.
     ///
     /// # Panics
     ///

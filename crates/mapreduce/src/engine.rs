@@ -3,40 +3,38 @@
 //! ```text
 //!  map workers (N threads)          shuffle              reduce workers (P threads)
 //! ┌──────────────────────────┐                        ┌───────────────────────────┐
-//! │ task → MapContext        │   regroup runs by      │ partition 0: k-way merge  │
-//! │   ├─ streaming combine   │   partition, splits    │   of m sorted runs        │──┐
-//! │   ├─ partition pairs     │   stay in id order     │   → reduce(key, values)   │  │ stitch
-//! │   └─ sort each partition │ ─────────────────────▶ │ partition 1: …            │──┼─▶ outputs
-//! │      run by (key,arrive) │                        │ …                         │  │ + finish
-//! │      = the "spill"       │                        │ partition R-1: …          │──┘
+//! │ task → MapContext        │   regroup runs by      │ partition 0: dense table, │
+//! │   ├─ combine             │   partition, splits    │   or one stable sort of   │──┐
+//! │   ├─ partition pairs     │   stay in id order     │   its m unsorted runs     │  │ stitch
+//! │   └─ ship runs unsorted  │ ─────────────────────▶ │   → reduce(key, values)   │──┼─▶ outputs
+//! │      = the "spill"       │                        │ partition 1: …            │  │ + finish
+//! │                          │                        │ partition R-1: …          │──┘
 //! └──────────────────────────┘                        └───────────────────────────┘
 //! ```
 //!
 //! Three properties make this both fast and exactly deterministic:
 //!
-//! 1. **Spills are pre-sorted per partition inside the map workers.** The
-//!    sort work happens in parallel, and the old single-threaded global
-//!    sort disappears entirely. Jobs whose keys carry a
-//!    [`RadixKey`](crate::RadixKey) codec ([`crate::JobSpec::with_radix_keys`])
-//!    sort spill runs with the LSD radix sort in [`crate::radix`] —
-//!    `O(n · key bytes)` with branch-free inner loops — and jobs that also
-//!    declare a bounded key domain ([`EngineConfig::key_domain_hint`])
-//!    combine through the flat-array table (the `dense` module) instead of
-//!    a hash map. Both specializations produce bit-identical output to the
-//!    comparison/hash paths they replace.
-//! 2. **The reduce side picks an explicit strategy per job** — recorded
-//!    per partition in [`RunMetrics::reduce_strategies`]:
+//! 1. **Map workers combine and partition; they never sort a spill.** Runs
+//!    ship in arrival order and ordering is the reduce side's job. Jobs
+//!    whose keys carry a [`RadixKey`](crate::RadixKey) codec
+//!    ([`crate::JobSpec::with_radix_keys`]) group their combine input with
+//!    the LSD radix sort in [`crate::radix`] — `O(n · key bytes)` with
+//!    branch-free inner loops — and jobs that also declare a bounded key
+//!    domain ([`EngineConfig::key_domain_hint`]) combine through the
+//!    flat-array table (the `dense` module) instead. Both specializations
+//!    produce bit-identical output to the comparison path they replace.
+//! 2. **The reduce side picks one of two strategies per job** — chosen
+//!    from the job's inputs (key codec and domain hint) and recorded per
+//!    partition in [`RunMetrics::reduce_strategies`]:
 //!
 //!    | [`ReduceStrategy`] | when | what a partition does |
 //!    |---|---|---|
-//!    | `DenseReduce` | radix codec + [`EngineConfig::key_domain_hint`] small enough for a flat array | aggregates its unsorted runs straight into a recycled slot array sized to the partition's actual key range (`dense::DenseReducer`) — no sort, no merge |
-//!    | `SortAtReduce` | radix codec, several partitions, domain too wide (or absent) | radix-sorts its split-ordered run concatenation once, stably, then groups adjacent keys |
-//!    | `Merge` | no codec, or a single partition without a dense domain | k-way merges runs pre-sorted inside the map workers (`m`-entry heap, `O(n log m)` comparisons on `(key, split)` only) |
+//!    | `DenseReduce` | radix codec + [`EngineConfig::key_domain_hint`] small enough for a flat array | aggregates its unsorted runs straight into a recycled slot array sized to the partition's actual key range (`dense::DenseReducer`) — no sort |
+//!    | `SortAtReduce` | every other job: no codec, or a domain too wide or absent, on any number of partitions | sorts its split-ordered run concatenation once, stably — the LSD radix sort with a codec, a comparison sort without — then groups adjacent keys |
 //!
-//!    For the non-`Merge` strategies the map workers skip the per-run
-//!    sort entirely and ship runs in arrival order. Every strategy
-//!    delivers the identical sequence to the reduce function, so outputs
-//!    are bit-identical across strategies (differential tests enforce it).
+//!    Both strategies deliver the identical sequence to the reduce
+//!    function, so outputs are bit-identical across strategies
+//!    (differential tests enforce it).
 //! 3. **Reduce partitions run in parallel with deterministic stitching.**
 //!    Every partition gets its own [`ReduceContext`]; outputs and charged
 //!    CPU are recombined in partition-index order, so the result — outputs,
@@ -59,11 +57,8 @@
 //! executable specification that differential tests and `wh-bench` compare
 //! this engine against.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -77,8 +72,8 @@ use crate::radix::{sort_pairs_with, RadixScratch};
 use crate::wire::WireSize;
 use wh_wavelet::hash::FxHasher;
 
-/// Borrowed form of the shared reduce function, passed into the merge
-/// machinery.
+/// Borrowed form of the shared reduce function, passed into the
+/// per-partition reduce machinery.
 pub(crate) type ReduceDyn<K, V, R> = dyn Fn(&K, &[V], &mut ReduceContext<R>) + Send + Sync;
 
 /// Borrowed form of the shared Combine function.
@@ -108,7 +103,9 @@ pub enum EngineMode {
 pub struct EngineConfig {
     /// Executor selection (pipelined vs the seed reference engine).
     pub mode: EngineMode,
-    /// Number of reduce partitions (the paper always uses 1).
+    /// Number of reduce partitions (the paper always uses 1). Zero is
+    /// refused by [`crate::try_run_job`] with
+    /// [`crate::EngineError::NoReducers`].
     pub num_reducers: u32,
     /// Map-side worker threads; `0` means one per available core, capped
     /// at the task count. Both engines honor it, so a benchmark can pin
@@ -117,14 +114,6 @@ pub struct EngineConfig {
     /// Reduce-side worker threads; `0` means one per available core,
     /// capped at the partition count.
     pub reducer_parallelism: usize,
-    /// Apply the Combine function incrementally at emit time instead of
-    /// materializing every raw pair until the task ends. Requires the
-    /// combiner to be associative (Hadoop's combiner contract); all
-    /// engine-visible metrics are byte-identical to batch combining.
-    pub streaming_combine: bool,
-    /// Pair-buffer size that triggers an in-flight combine when streaming;
-    /// `0` combines only once, when the spill is collected.
-    pub spill_chunk: usize,
     /// Exclusive upper bound on the radix image of every key the job
     /// emits, when the algorithm knows one (item keys in `[0, u)`,
     /// coefficient indices, sketch counter indices…). Combined with
@@ -162,8 +151,6 @@ impl Default for EngineConfig {
             num_reducers: 1,
             map_parallelism: 0,
             reducer_parallelism: 0,
-            streaming_combine: false,
-            spill_chunk: 0,
             key_domain_hint: None,
             max_task_retries: 2,
             retry_backoff_ms: 10,
@@ -214,18 +201,6 @@ impl EngineConfig {
     /// Sets the reduce-side thread count (`0` = one per available core).
     pub fn with_reducer_parallelism(mut self, threads: usize) -> Self {
         self.reducer_parallelism = threads;
-        self
-    }
-
-    /// Toggles streaming (emit-time) combining.
-    pub fn with_streaming_combine(mut self, on: bool) -> Self {
-        self.streaming_combine = on;
-        self
-    }
-
-    /// Sets the spill chunk size for streaming combining.
-    pub fn with_spill_chunk(mut self, pairs: usize) -> Self {
-        self.spill_chunk = pairs;
         self
     }
 
@@ -298,8 +273,8 @@ const DENSE_DOMAIN_MAX: u64 = 1 << 22;
 /// in. Thread count never changes outputs, so this is timing-only.
 const REDUCE_SPAWN_MIN_PAIRS: u64 = 8192;
 
-/// Tasks with fewer pairs than this ship a flat (unpartitioned) spill in
-/// sort-at-reduce mode and let the shuffle scatter it: allocating
+/// Tasks with fewer pairs than this ship a flat (unpartitioned) spill
+/// and let the shuffle scatter it: allocating
 /// `num_reducers` per-task partition buffers would cost more than the
 /// pairs they hold. Larger tasks scatter inside the map worker, where
 /// the hashing parallelizes.
@@ -308,9 +283,8 @@ const SCATTER_MIN_PAIRS: usize = 1024;
 /// Groups `pairs` by key (preserving each key's value arrival order),
 /// applies the Combine function once per key, and returns the surviving
 /// pairs in ascending key order. This is the **canonical combine
-/// semantics** shared by the streaming compactor, the batch combine path,
-/// the dense-domain table, and the reference engine — all agree byte for
-/// byte.
+/// semantics** shared by the map workers' combine path, the dense-domain
+/// table, and the reference engine — all agree byte for byte.
 ///
 /// Keys are sorted and grouped in place; a key is only ever cloned when
 /// the combiner leaves it more than one surviving value.
@@ -364,10 +338,10 @@ where
     }
 }
 
-/// Per-worker combine machinery, recycled across every map task (and
-/// every streaming compaction) that worker runs. Dispatches to the dense
-/// flat-array table when the job declared a bounded key domain, and to
-/// the radix- or comparison-sorted grouping otherwise.
+/// Per-worker combine machinery, recycled across every map task that
+/// worker runs. Dispatches to the dense flat-array table when the job
+/// declared a bounded key domain, and to the radix- or comparison-sorted
+/// grouping otherwise.
 struct MapCombiner<K, V> {
     codec: Option<fn(&K) -> u64>,
     dense: Option<DenseTable<K, V>>,
@@ -403,11 +377,11 @@ where
 }
 
 /// One map task's spill, plus the task's accounting. `scattered` spills
-/// carry one run per partition (sorted by `(key, arrival order)` when
-/// the job merges at reduce time); flat spills carry the task's pairs as
-/// a single unpartitioned list — the shape tiny tasks ship in
-/// sort-at-reduce mode, where per-task partition buffers would cost more
-/// than the pairs they hold and the shuffle scatters instead.
+/// carry one run per partition, in arrival order; flat spills carry the
+/// task's pairs as a single unpartitioned list — the shape tiny tasks
+/// ship when several partitions exist, where per-task partition buffers
+/// would cost more than the pairs they hold and the shuffle scatters
+/// instead.
 pub(crate) struct TaskSpill<K, V> {
     pub(crate) split_id: u32,
     pub(crate) runs: Vec<Vec<(K, V)>>,
@@ -419,13 +393,11 @@ pub(crate) struct TaskSpill<K, V> {
 }
 
 /// Worker-local state of the map phase, recycled across the tasks this
-/// worker executes: the emit buffer handed to each [`MapContext`], the
-/// radix-sort scratch for spill runs, and the shared combine machinery
-/// (shared with the task's streaming compactor when one is installed).
+/// worker executes: the emit buffer handed to each [`MapContext`] and the
+/// combine machinery.
 pub(crate) struct MapWorker<K, V> {
     pairs_buf: Vec<(K, V)>,
-    scratch: RadixScratch,
-    combine: Arc<Mutex<MapCombiner<K, V>>>,
+    combine: MapCombiner<K, V>,
 }
 
 impl<K, V> MapWorker<K, V>
@@ -435,8 +407,7 @@ where
     pub(crate) fn new(codec: Option<fn(&K) -> u64>, dense_domain: Option<usize>) -> Self {
         Self {
             pairs_buf: Vec::new(),
-            scratch: RadixScratch::default(),
-            combine: Arc::new(Mutex::new(MapCombiner::new(codec, dense_domain))),
+            combine: MapCombiner::new(codec, dense_domain),
         }
     }
 }
@@ -456,28 +427,18 @@ pub(crate) fn dense_combine_domain(
     }
 }
 
-/// Reduce-strategy selection, fixed per job because it also decides what
-/// the map workers ship:
+/// Reduce-strategy selection, fixed per job by its inputs:
 ///
 /// * `DenseReduce` (codec + bounded domain): partitions aggregate their
 ///   unsorted runs straight into a flat slot array — nobody sorts
 ///   anything, on either side.
-/// * `SortAtReduce` (codec, several partitions, domain too wide): each
-///   partition radix-sorts its split-ordered run concatenation once
-///   (stable, runs in split-id order), which is the exact merge sequence
-///   at strictly less data movement than sorted spills + merge.
-/// * `Merge` otherwise: map workers pre-sort their runs (that is what
-///   parallelizes the sort work when everything reduces in one place or
-///   keys carry no codec) and partitions k-way merge them.
-pub(crate) fn select_strategy(
-    has_codec: bool,
-    domain_hint: Option<u64>,
-    nparts: usize,
-) -> ReduceStrategy {
+/// * `SortAtReduce` otherwise: each partition sorts its split-ordered run
+///   concatenation once, stably (runs in split-id order), which yields
+///   the global `(key, split id, arrival order)` sequence.
+fn select_strategy(has_codec: bool, domain_hint: Option<u64>) -> ReduceStrategy {
     match (has_codec, domain_hint) {
         (true, Some(u)) if u <= DENSE_DOMAIN_MAX => ReduceStrategy::DenseReduce,
-        (true, _) if nparts > 1 => ReduceStrategy::SortAtReduce,
-        _ => ReduceStrategy::Merge,
+        _ => ReduceStrategy::SortAtReduce,
     }
 }
 
@@ -500,17 +461,15 @@ where
         key_codec,
         ..
     } = spec;
-    assert!(engine.num_reducers >= 1, "need at least one reducer");
     let nparts = engine.num_reducers as usize;
     let dense_domain = dense_combine_domain(
         key_codec.is_some(),
         engine.key_domain_hint,
         combiner.is_some(),
     );
-    let strategy = select_strategy(key_codec.is_some(), engine.key_domain_hint, nparts);
 
-    // ---- Map phase (parallel): run, combine, partition, sort — all
-    // inside the worker thread that owns the task. ----
+    // ---- Map phase (parallel): run, combine, partition — all inside
+    // the worker thread that owns the task. ----
     let map_start = Instant::now();
     let task_queue: Vec<Mutex<Option<MapTask<K, V>>>> =
         map_tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
@@ -524,16 +483,7 @@ where
             break;
         }
         let task = task_queue[i].lock().take().expect("each task taken once");
-        let spill = run_one_task(
-            task,
-            &engine,
-            nparts,
-            strategy,
-            &combiner,
-            &partitioner,
-            key_codec,
-            state,
-        );
+        let spill = run_one_task(task, nparts, &combiner, &partitioner, state);
         spills.lock().push(spill);
     };
 
@@ -562,27 +512,21 @@ where
         reduce,
         finish,
         broadcast_bytes,
-        strategy,
         key_codec,
         wall_map_s,
     )
 }
 
 /// Runs one map task to a [`TaskSpill`]: execute the closure, combine,
-/// partition (or ship flat), and pre-sort runs when the job merges at
-/// reduce time. This is the unit of map work shared **verbatim** by the
-/// threaded executor above and the forked workers of
+/// and partition (or ship flat). This is the unit of map work shared
+/// **verbatim** by the threaded executor above and the forked workers of
 /// [`crate::worker::execute_multiprocess`] — sharing it is what makes the
 /// two modes bit-identical by construction.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_one_task<K, V>(
     task: MapTask<K, V>,
-    engine: &EngineConfig,
     nparts: usize,
-    strategy: ReduceStrategy,
     combiner: &Option<CombineFn<K, V>>,
     partitioner: &PartitionFn<K>,
-    key_codec: Option<fn(&K) -> u64>,
     state: &mut MapWorker<K, V>,
 ) -> TaskSpill<K, V>
 where
@@ -590,29 +534,16 @@ where
     V: Send + WireSize + 'static,
 {
     let mut ctx = MapContext::with_buffer(task.split_id, std::mem::take(&mut state.pairs_buf));
-    if engine.streaming_combine {
-        if let Some(comb) = combiner {
-            ctx.install_compactor(
-                make_compactor(CombineFn::clone(comb), Arc::clone(&state.combine)),
-                engine.spill_chunk,
-            );
-        }
-    }
     (task.run)(&mut ctx);
     let MapContext {
         mut pairs,
-        compactor,
         records_read,
         bytes_read,
         cpu_ops,
         ..
     } = ctx;
-    if let Some(compact) = &compactor {
-        // Streaming mode: one final full grouping so every key
-        // ends fully combined, exactly like the batch path.
-        compact(&mut pairs);
-    } else if let Some(comb) = combiner {
-        state.combine.lock().combine(&mut pairs, comb.as_ref());
+    if let Some(comb) = combiner {
+        state.combine.combine(&mut pairs, comb.as_ref());
     }
     let mut npairs = 0u64;
     let mut nbytes = 0u64;
@@ -620,12 +551,12 @@ where
         npairs += 1;
         nbytes += k.wire_bytes() + v.wire_bytes();
     }
-    let (mut runs, scattered): (Vec<Vec<(K, V)>>, bool) = if nparts == 1 {
+    let (runs, scattered): (Vec<Vec<(K, V)>>, bool) = if nparts == 1 {
         (vec![std::mem::take(&mut pairs)], true)
-    } else if strategy != ReduceStrategy::Merge && pairs.len() < SCATTER_MIN_PAIRS {
-        // Tiny task in a no-merge mode: ship the pairs flat and let
-        // the shuffle scatter them — R per-task partition buffers
-        // would cost more than the pairs they hold.
+    } else if pairs.len() < SCATTER_MIN_PAIRS {
+        // Tiny task: ship the pairs flat and let the shuffle scatter
+        // them — R per-task partition buffers would cost more than the
+        // pairs they hold.
         (vec![std::mem::take(&mut pairs)], false)
     } else {
         // Reserve the expected per-partition share up front so the
@@ -641,19 +572,6 @@ where
     // The (now empty) emit buffer keeps its allocation for the next
     // task this worker picks up.
     state.pairs_buf = pairs;
-    if strategy == ReduceStrategy::Merge {
-        // Only the merge strategy consumes pre-sorted runs; the dense
-        // and sort-at-reduce partitions take them in arrival order.
-        for run in &mut runs {
-            // Stable by key: arrival order within a key survives. The
-            // radix sort produces the identical permutation when the
-            // job declared a key codec.
-            match key_codec {
-                Some(codec) => sort_pairs_with(run, codec, &mut state.scratch),
-                None => run.sort_by(|a, b| a.0.cmp(&b.0)),
-            }
-        }
-    }
     TaskSpill {
         split_id: task.split_id,
         runs,
@@ -683,7 +601,6 @@ pub(crate) fn shuffle_reduce_finish<K, V, R>(
     reduce: crate::job::ReduceFn<K, V, R>,
     finish: Option<crate::job::FinishFn<R>>,
     broadcast_bytes: u64,
-    strategy: ReduceStrategy,
     key_codec: Option<fn(&K) -> u64>,
     wall_map_s: f64,
 ) -> JobOutput<R>
@@ -693,7 +610,7 @@ where
     R: Send,
 {
     let nparts = engine.num_reducers as usize;
-    // ---- Shuffle: regroup spill runs into per-partition merge inputs
+    // ---- Shuffle: regroup spill runs into per-partition reduce inputs
     // (runs stay in split-id order) and account communication. ----
     let shuffle_start = Instant::now();
     let mut metrics = RunMetrics {
@@ -709,8 +626,7 @@ where
     // consolidated tail run per partition. Tasks arrive in split-id
     // order, and a tail is flushed ahead of any scattered run that
     // follows it, so every partition's runs stay in (split id, arrival)
-    // order — which is all the dense-reduce and sort-at-reduce paths
-    // need.
+    // order — which is all either reduce strategy needs.
     let mut tails: Vec<Vec<(K, V)>> = (0..nparts).map(|_| Vec::new()).collect();
     for t in per_task {
         task_work.push(t.work);
@@ -760,10 +676,10 @@ where
     .max(1);
 
     // What a partition needs to execute the selected strategy: the codec
-    // (dense + sort-at-reduce) and the declared domain (dense asserts
-    // against it).
+    // (dense, and the radix route of sort-at-reduce) and the declared
+    // domain (dense asserts against it).
     let plan = ReducePlan {
-        strategy,
+        strategy: select_strategy(key_codec.is_some(), engine.key_domain_hint),
         codec: key_codec,
         domain_hint: engine.key_domain_hint,
         dense_pair_cap: crate::dense::FIRST_ARRIVAL as usize,
@@ -847,21 +763,6 @@ where
     JobOutput { outputs, metrics }
 }
 
-fn make_compactor<K, V>(
-    comb: CombineFn<K, V>,
-    state: Arc<Mutex<MapCombiner<K, V>>>,
-) -> crate::context::Compactor<K, V>
-where
-    K: Ord + Clone + Send + 'static,
-    V: Send + 'static,
-{
-    Box::new(move |pairs| {
-        if pairs.len() > 1 {
-            state.lock().combine(pairs, comb.as_ref());
-        }
-    })
-}
-
 /// Everything a reduce worker needs to execute the job's strategy on one
 /// partition. One per job; `Copy` so worker threads capture it by value.
 struct ReducePlan<K> {
@@ -909,12 +810,10 @@ impl<K, V> ReduceScratch<K, V> {
 /// * `DenseReduce`: runs arrive **unsorted** and aggregate into the
 ///   recycled flat table, which emits groups in ascending radix (= key)
 ///   order.
-/// * `SortAtReduce`: runs arrive **unsorted**; the partition radix-sorts
-///   its split-ordered concatenation once. The sort is stable, so equal
-///   keys keep `(split id, arrival order)` — the exact merge sequence,
-///   with no merge.
-/// * `Merge`: runs arrive pre-sorted from the map workers and are k-way
-///   merged.
+/// * `SortAtReduce`: runs arrive **unsorted**; the partition sorts its
+///   split-ordered concatenation once — radix with a codec, comparison
+///   without. Both sorts are stable, so equal keys keep
+///   `(split id, arrival order)`.
 ///
 /// The strategy that ran is recorded on the context, which the stitching
 /// loop folds into [`RunMetrics::reduce_strategies`].
@@ -946,34 +845,27 @@ fn reduce_partition<K, V, R>(
             let total: usize = runs.iter().map(Vec::len).sum();
             if total >= plan.dense_pair_cap {
                 rctx.strategy = Some(ReduceStrategy::SortAtReduce);
-                sort_at_reduce(runs, total, codec, scratch, reduce, rctx);
+                sort_at_reduce(runs, total, Some(codec), scratch, reduce, rctx);
             } else {
                 scratch.dense.reduce_runs(runs, codec, hint, reduce, rctx);
             }
         }
         ReduceStrategy::SortAtReduce => {
-            let codec = plan.codec.expect("sort-at-reduce requires a key codec");
             let total: usize = runs.iter().map(Vec::len).sum();
-            sort_at_reduce(runs, total, codec, scratch, reduce, rctx);
+            sort_at_reduce(runs, total, plan.codec, scratch, reduce, rctx);
         }
-        ReduceStrategy::Merge => match runs.len() {
-            0 => {}
-            1 => {
-                let run = runs.into_iter().next().expect("one run");
-                reduce_sorted_run(run, reduce, rctx);
-            }
-            _ => merge_runs(runs, reduce, rctx),
-        },
     }
 }
 
-/// The sort-at-reduce body: one stable radix sort of the split-ordered
-/// run concatenation, then adjacent grouping — shared by the
+/// The sort-at-reduce body: one stable sort of the split-ordered run
+/// concatenation — the LSD radix sort when the job has a key codec, the
+/// comparison `sort_by` otherwise (both yield the same permutation, see
+/// [`crate::radix`]) — then adjacent grouping. Shared by the
 /// `SortAtReduce` strategy and the dense-overflow fallback.
 fn sort_at_reduce<K, V, R>(
     runs: Vec<Vec<(K, V)>>,
     total: usize,
-    codec: fn(&K) -> u64,
+    codec: Option<fn(&K) -> u64>,
     scratch: &mut ReduceScratch<K, V>,
     reduce: &ReduceDyn<K, V, R>,
     rctx: &mut ReduceContext<R>,
@@ -991,12 +883,15 @@ fn sort_at_reduce<K, V, R>(
             all
         }
     };
-    sort_pairs_with(&mut all, codec, &mut scratch.radix);
+    match codec {
+        Some(codec) => sort_pairs_with(&mut all, codec, &mut scratch.radix),
+        None => all.sort_by(|a, b| a.0.cmp(&b.0)),
+    }
     reduce_sorted_run(all, reduce, rctx);
 }
 
 /// Groups adjacent equal keys of one already-sorted run — no comparisons
-/// beyond equality, no heap.
+/// beyond equality.
 fn reduce_sorted_run<K, V, R>(
     run: Vec<(K, V)>,
     reduce: &ReduceDyn<K, V, R>,
@@ -1022,176 +917,17 @@ fn reduce_sorted_run<K, V, R>(
     reduce(&key, &values, rctx);
 }
 
-/// Heap entry of the k-way merge. Ordering compares `(key, run index)`
-/// only — runs are stored in split-id order, so the merge yields the
-/// global `(key, split id, arrival order)` sequence. The carried value
-/// never participates in comparisons.
-struct MergeEntry<K, V> {
-    key: K,
-    run: usize,
-    value: V,
-}
-
-impl<K: Ord, V> PartialEq for MergeEntry<K, V> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.run == other.run
-    }
-}
-
-impl<K: Ord, V> Eq for MergeEntry<K, V> {}
-
-impl<K: Ord, V> PartialOrd for MergeEntry<K, V> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<K: Ord, V> Ord for MergeEntry<K, V> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key).then(self.run.cmp(&other.run))
-    }
-}
-
-/// Fan-in above which the merge switches from the binary heap to the
-/// pairwise ladder: wide heaps pay `2·log₂ m` branchy sift steps per
-/// element, while the ladder's sequential two-way merges cost exactly
-/// `log₂ m` predictable comparisons plus streaming copies.
-const HEAP_MERGE_MAX_RUNS: usize = 8;
-
-/// Partitions at most this many pairs skip the merge machinery entirely:
-/// concatenating the runs (split-id order) and stably re-sorting by key
-/// yields the identical `(key, split id, arrival order)` sequence with
-/// one tiny sort instead of a heap or ladder over dozens of micro-runs —
-/// the regime the sampling builders put every partition in.
-const MERGE_CONCAT_MAX_PAIRS: usize = 4096;
-
-/// Merges `m` sorted runs and feeds key groups straight into `reduce` —
-/// the shuffle never materializes a global concatenated vector and never
-/// compares partition ids. Narrow fan-ins use the `m`-entry min-heap
-/// (O(1) extra memory); wide fan-ins use [`ladder_merge`].
-fn merge_runs<K, V, R>(
-    runs: Vec<Vec<(K, V)>>,
-    reduce: &ReduceDyn<K, V, R>,
-    rctx: &mut ReduceContext<R>,
-) where
-    K: Ord,
-{
-    let total: usize = runs.iter().map(Vec::len).sum();
-    if total <= MERGE_CONCAT_MAX_PAIRS {
-        // Stable sort of the split-ordered concatenation = the exact
-        // merge sequence, cheaper than merging many tiny runs.
-        let mut all = Vec::with_capacity(total);
-        for run in runs {
-            all.extend(run);
-        }
-        all.sort_by(|a, b| a.0.cmp(&b.0));
-        reduce_sorted_run(all, reduce, rctx);
-        return;
-    }
-    if runs.len() > HEAP_MERGE_MAX_RUNS {
-        let merged = ladder_merge(runs);
-        reduce_sorted_run(merged, reduce, rctx);
-        return;
-    }
-    let mut iters: Vec<std::vec::IntoIter<(K, V)>> = runs.into_iter().map(Vec::into_iter).collect();
-    let mut heap: BinaryHeap<Reverse<MergeEntry<K, V>>> = BinaryHeap::with_capacity(iters.len());
-    for (run, it) in iters.iter_mut().enumerate() {
-        if let Some((key, value)) = it.next() {
-            heap.push(Reverse(MergeEntry { key, run, value }));
-        }
-    }
-    let mut values: Vec<V> = Vec::new();
-    while let Some(Reverse(MergeEntry { key, run, value })) = heap.pop() {
-        values.clear();
-        values.push(value);
-        if let Some((k, v)) = iters[run].next() {
-            heap.push(Reverse(MergeEntry {
-                key: k,
-                run,
-                value: v,
-            }));
-        }
-        while heap.peek().is_some_and(|Reverse(entry)| entry.key == key) {
-            let Reverse(MergeEntry {
-                run: r, value: v, ..
-            }) = heap.pop().expect("peeked entry");
-            values.push(v);
-            if let Some((k2, v2)) = iters[r].next() {
-                heap.push(Reverse(MergeEntry {
-                    key: k2,
-                    run: r,
-                    value: v2,
-                }));
-            }
-        }
-        reduce(&key, &values, rctx);
-    }
-}
-
-/// Pairwise-merge ladder: merges adjacent runs two at a time until one
-/// sorted run remains. Runs stay in split-id order and ties always take
-/// from the left (lower split), so the result is the exact
-/// `(key, split id, arrival order)` sequence of the heap merge. Peak
-/// memory is one extra copy of the partition, freed level by level.
-fn ladder_merge<K: Ord, V>(runs: Vec<Vec<(K, V)>>) -> Vec<(K, V)> {
-    let mut level = runs;
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        let mut it = level.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(merge_two(a, b)),
-                None => next.push(a),
-            }
-        }
-        level = next;
-    }
-    level.into_iter().next().unwrap_or_default()
-}
-
-/// Stable two-way merge; ties take from `a` (the lower split ids).
-fn merge_two<K: Ord, V>(a: Vec<(K, V)>, b: Vec<(K, V)>) -> Vec<(K, V)> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let mut ia = a.into_iter();
-    let mut ib = b.into_iter();
-    let mut na = ia.next();
-    let mut nb = ib.next();
-    loop {
-        match (na.take(), nb.take()) {
-            (Some(x), Some(y)) => {
-                if x.0 <= y.0 {
-                    out.push(x);
-                    na = ia.next();
-                    nb = Some(y);
-                } else {
-                    out.push(y);
-                    nb = ib.next();
-                    na = Some(x);
-                }
-            }
-            (Some(x), None) => {
-                out.push(x);
-                out.extend(ia);
-                break;
-            }
-            (None, Some(y)) => {
-                out.push(y);
-                out.extend(ib);
-                break;
-            }
-            (None, None) => break,
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    const U32_CODEC: fn(&u32) -> u64 = |k| u64::from(*k);
 
     fn collect_groups_via(
         runs: Vec<Vec<(u32, u32)>>,
         strategy: ReduceStrategy,
+        codec: Option<fn(&u32) -> u64>,
     ) -> Vec<(u32, Vec<u32>)> {
         let mut rctx = ReduceContext::new();
         let mut scratch = ReduceScratch::new();
@@ -1200,7 +936,7 @@ mod tests {
         };
         let plan = ReducePlan {
             strategy,
-            codec: Some(|k: &u32| u64::from(*k)),
+            codec,
             domain_hint: Some(1 << 20),
             dense_pair_cap: crate::dense::FIRST_ARRIVAL as usize,
         };
@@ -1210,42 +946,21 @@ mod tests {
     }
 
     fn collect_groups(runs: Vec<Vec<(u32, u32)>>) -> Vec<(u32, Vec<u32>)> {
-        collect_groups_via(runs, ReduceStrategy::Merge)
+        collect_groups_via(runs, ReduceStrategy::SortAtReduce, Some(U32_CODEC))
     }
 
     #[test]
-    fn merge_yields_key_then_run_order() {
-        // Runs are per split (split order = vector order).
-        let runs = vec![
-            vec![(1, 10), (1, 11), (5, 12)],
-            vec![(1, 20), (2, 21)],
-            vec![(2, 30), (5, 31), (9, 32)],
-        ];
-        assert_eq!(
-            collect_groups(runs),
-            vec![
-                (1, vec![10, 11, 20]),
-                (2, vec![21, 30]),
-                (5, vec![12, 31]),
-                (9, vec![32]),
-            ]
-        );
-    }
-
-    #[test]
-    fn all_merge_routes_yield_the_specified_sequence() {
-        // Concat (≤ MERGE_CONCAT_MAX_PAIRS total), heap (m ≤ 8), and
-        // ladder (m > 8) must all produce the sequence of a stable global
-        // sort by (key, run index). Runs of 600 pairs put m ≥ 7 above the
-        // concat threshold; smaller m exercises the concat route.
+    fn every_strategy_yields_the_stable_key_then_run_sequence() {
+        // Unsorted runs, one per split (split order = vector order),
+        // arrival order = value order. Sort-at-reduce with a codec (radix
+        // sort), without one (comparison sort), and dense reduce must all
+        // produce the sequence of a stable global sort by (key, run).
         let mk_runs = |m: usize| -> Vec<Vec<(u32, u32)>> {
             (0..m)
                 .map(|r| {
-                    let mut run: Vec<(u32, u32)> = (0..600)
+                    (0..600)
                         .map(|i| ((i * (r as u32 + 3)) % 17, (r * 1000 + i as usize) as u32))
-                        .collect();
-                    run.sort_by_key(|&(k, _)| k);
-                    run
+                        .collect()
                 })
                 .collect()
         };
@@ -1263,31 +978,25 @@ mod tests {
                     _ => expected.push((k, vec![v])),
                 }
             }
-            assert_eq!(collect_groups(mk_runs(m)), expected, "m={m}");
-            // The no-merge routes take **unsorted** runs and must yield
-            // the same sequence: sort-at-reduce via one stable radix sort
-            // of the concatenation, dense reduce via flat-array
-            // aggregation in radix order.
-            let unsorted = || -> Vec<Vec<(u32, u32)>> {
-                mk_runs(m)
-                    .into_iter()
-                    .map(|mut run| {
-                        // Undo the per-run sort: arrival order is value order.
-                        run.sort_by_key(|&(_, v)| v);
-                        run
-                    })
-                    .collect()
-            };
-            assert_eq!(
-                collect_groups_via(unsorted(), ReduceStrategy::SortAtReduce),
-                expected,
-                "m={m} (sort-at-reduce)"
-            );
-            assert_eq!(
-                collect_groups_via(unsorted(), ReduceStrategy::DenseReduce),
-                expected,
-                "m={m} (dense reduce)"
-            );
+            for (strategy, codec, label) in [
+                (
+                    ReduceStrategy::SortAtReduce,
+                    Some(U32_CODEC),
+                    "sort-at-reduce, radix",
+                ),
+                (
+                    ReduceStrategy::SortAtReduce,
+                    None,
+                    "sort-at-reduce, no codec",
+                ),
+                (ReduceStrategy::DenseReduce, Some(U32_CODEC), "dense reduce"),
+            ] {
+                assert_eq!(
+                    collect_groups_via(mk_runs(m), strategy, codec),
+                    expected,
+                    "m={m} ({label})"
+                );
+            }
         }
     }
 
@@ -1299,23 +1008,22 @@ mod tests {
         let reduce = |k: &u32, vs: &[u32], ctx: &mut ReduceContext<(u32, Vec<u32>)>| {
             ctx.emit((*k, vs.to_vec()));
         };
-        let sorted_runs = || vec![vec![(1u32, 1u32), (3, 2)], vec![(1, 3), (7, 4)]];
         let unsorted_runs = || vec![vec![(3u32, 2u32), (1, 1)], vec![(7, 4), (1, 3)]];
         let want = vec![(1, vec![1, 3]), (3, vec![2]), (7, vec![4])];
         for round in 0..3 {
-            for (strategy, runs) in [
-                (ReduceStrategy::DenseReduce, unsorted_runs()),
-                (ReduceStrategy::SortAtReduce, unsorted_runs()),
-                (ReduceStrategy::Merge, sorted_runs()),
+            for (strategy, codec) in [
+                (ReduceStrategy::DenseReduce, Some(U32_CODEC)),
+                (ReduceStrategy::SortAtReduce, Some(U32_CODEC)),
+                (ReduceStrategy::SortAtReduce, None),
             ] {
                 let mut rctx = ReduceContext::new();
                 let plan = ReducePlan {
                     strategy,
-                    codec: Some(|k: &u32| u64::from(*k)),
+                    codec,
                     domain_hint: Some(64),
                     dense_pair_cap: crate::dense::FIRST_ARRIVAL as usize,
                 };
-                reduce_partition(runs, plan, &mut scratch, &reduce, &mut rctx);
+                reduce_partition(unsorted_runs(), plan, &mut scratch, &reduce, &mut rctx);
                 assert_eq!(rctx.outputs, want, "round {round}, {strategy:?}");
                 assert_eq!(rctx.strategy, Some(strategy));
             }
@@ -1335,7 +1043,7 @@ mod tests {
         };
         let plan = ReducePlan {
             strategy: ReduceStrategy::DenseReduce,
-            codec: Some(|k: &u32| u64::from(*k)),
+            codec: Some(U32_CODEC),
             domain_hint: Some(1 << 20),
             dense_pair_cap: cap,
         };
@@ -1380,16 +1088,6 @@ mod tests {
             crate::dense::FIRST_ARRIVAL & (crate::dense::FIRST_ARRIVAL - 1),
             0,
             "the tag is a single high bit"
-        );
-    }
-
-    #[test]
-    fn merge_two_is_stable_on_ties() {
-        let a = vec![(1u32, 'a'), (3, 'b')];
-        let b = vec![(1u32, 'c'), (3, 'd')];
-        assert_eq!(
-            merge_two(a, b),
-            vec![(1, 'a'), (1, 'c'), (3, 'b'), (3, 'd')]
         );
     }
 

@@ -10,7 +10,7 @@
 //!
 //! Determinism: mappers may run in any thread interleaving, reduce
 //! partitions may run on any number of threads, and the engine may pick
-//! any reduce-side strategy (dense reduce / sort-at-reduce / merge — see
+//! either reduce-side strategy (dense reduce / sort-at-reduce — see
 //! [`crate::ReduceStrategy`]), but within a partition the reduce function
 //! always observes key groups in key order with each group's values in
 //! `(split id, arrival order)` order, and outputs are stitched in
@@ -31,9 +31,9 @@ use crate::wire::{WireCodec, WireError, WireSize};
 /// The boxed closure a map task runs.
 pub type MapFn<K, V> = Box<dyn FnOnce(&mut MapContext<K, V>) + Send>;
 
-/// Shared Combine function: mutates a key's value list in place. Must be
-/// associative when streaming combining is enabled (Hadoop's contract: the
-/// combiner may run zero, one, or several times over partial value lists).
+/// Shared Combine function: mutates a key's value list in place. The
+/// engine runs it once per key per map task, over that task's values in
+/// arrival order.
 pub type CombineFn<K, V> = Arc<dyn Fn(&K, &mut Vec<V>) + Send + Sync>;
 
 /// Reducer Close hook.
@@ -113,8 +113,8 @@ pub struct JobSpec<K, V, R> {
     /// once after every partition finished — where histograms are
     /// assembled from aggregated state.
     pub finish: Option<FinishFn<R>>,
-    /// Execution-engine knobs: reducer count and parallelism, streaming
-    /// combining, spill chunk size, key-domain hint, engine selection.
+    /// Execution-engine knobs: reducer count and parallelism, key-domain
+    /// hint, engine selection, and the multi-process recovery settings.
     pub engine: EngineConfig,
     /// Order-preserving `u64` key codec, installed by
     /// [`JobSpec::with_radix_keys`] when `K` implements
@@ -264,10 +264,12 @@ pub struct JobOutput<R> {
 }
 
 /// Executes one MapReduce round on `cluster` with the engine selected by
-/// `spec.engine.mode`, surfacing multi-process transport failures as a
-/// typed [`EngineError`]. The in-process modes are infallible; only
-/// [`EngineMode::MultiProcess`] can return `Err` (missing wire codec,
-/// dead worker, truncated frame, unsupported platform).
+/// `spec.engine.mode`, surfacing configuration and multi-process
+/// transport failures as a typed [`EngineError`]. Every mode returns
+/// [`EngineError::NoReducers`] for a zero reducer count; beyond that the
+/// in-process modes are infallible, and only [`EngineMode::MultiProcess`]
+/// can return `Err` (missing wire codec, dead worker, truncated frame,
+/// unsupported platform).
 pub fn try_run_job<K, V, R>(
     cluster: &ClusterConfig,
     spec: JobSpec<K, V, R>,
@@ -277,6 +279,9 @@ where
     V: Send + WireSize + 'static,
     R: Send,
 {
+    if spec.engine.num_reducers == 0 {
+        return Err(EngineError::NoReducers);
+    }
     match spec.engine.mode {
         EngineMode::Pipelined => Ok(engine::execute(cluster, spec)),
         EngineMode::Reference => Ok(reference::run_job_reference(cluster, spec)),
@@ -355,30 +360,6 @@ mod tests {
         // One combined pair per split.
         assert_eq!(out.metrics.map_output_pairs, 2);
         assert_eq!(out.metrics.shuffle_bytes, 24);
-    }
-
-    #[test]
-    fn streaming_combiner_matches_batch_combiner() {
-        let cluster = ClusterConfig::single_machine();
-        let mk = |engine: EngineConfig| {
-            let tasks = wordcount_tasks(vec![vec![7; 100], vec![3; 40], vec![7; 50], vec![9; 3]]);
-            let spec = JobSpec::new("wc", tasks, count_reduce())
-                .with_combiner(|_k, vs: &mut Vec<u64>| {
-                    let total: u64 = vs.iter().sum();
-                    vs.clear();
-                    vs.push(total);
-                })
-                .with_engine(engine);
-            run_job(&cluster, spec)
-        };
-        let batch = mk(EngineConfig::default());
-        for chunk in [0, 1, 8, 1024] {
-            let streaming = mk(EngineConfig::default()
-                .with_streaming_combine(true)
-                .with_spill_chunk(chunk));
-            assert_eq!(batch.outputs, streaming.outputs, "chunk={chunk}");
-            assert_eq!(batch.metrics, streaming.metrics, "chunk={chunk}");
-        }
     }
 
     #[test]
@@ -553,9 +534,15 @@ mod tests {
         let wide = mk(true, Some(1 << 30), 2);
         assert_eq!(wide.metrics.reduce_strategies.sort_at_reduce, 2);
         // Single partition without a dense domain, or no codec at all →
-        // pre-sorted spills + merge.
-        assert_eq!(mk(true, None, 1).metrics.reduce_strategies.merge, 1);
-        assert_eq!(mk(false, None, 2).metrics.reduce_strategies.merge, 2);
+        // sort-at-reduce too (a comparison sort without the codec).
+        assert_eq!(
+            mk(true, None, 1).metrics.reduce_strategies.sort_at_reduce,
+            1
+        );
+        assert_eq!(
+            mk(false, None, 2).metrics.reduce_strategies.sort_at_reduce,
+            2
+        );
         // Strategies are an execution detail: same outputs and equal
         // metrics (under ==) as the sort-at-reduce run.
         let sorted = mk(true, None, 4);
@@ -596,5 +583,39 @@ mod tests {
             .with_finish(|ctx| ctx.emit(99));
         let out = run_job(&cluster, spec);
         assert_eq!(out.outputs, vec![99]);
+    }
+
+    #[test]
+    fn zero_reducers_is_a_typed_error_in_every_mode() {
+        let cluster = ClusterConfig::single_machine();
+        for base in [
+            EngineConfig::pipelined(),
+            EngineConfig::reference(),
+            EngineConfig::multi_process(),
+        ] {
+            // The field is public, so a config can carry 0 without going
+            // through the asserting `with_reducers` setter.
+            let engine = EngineConfig {
+                num_reducers: 0,
+                ..base
+            };
+            let spec = JobSpec::new(
+                "zero",
+                wordcount_tasks(vec![vec![1, 2], vec![2]]),
+                count_reduce(),
+            )
+            .with_wire_codec()
+            .with_engine(engine);
+            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                try_run_job(&cluster, spec)
+            }));
+            let res = res.unwrap_or_else(|_| panic!("{:?} panicked on 0 reducers", base.mode));
+            assert!(
+                matches!(res, Err(EngineError::NoReducers)),
+                "{:?}: {:?}",
+                base.mode,
+                res.map(|o| o.outputs)
+            );
+        }
     }
 }

@@ -28,38 +28,38 @@
 //! ([`engine`]):
 //!
 //! ```text
-//! map workers ──▶ per-partition sorted spills ──▶ k-way merge per
-//! (parallel)      (combine + partition + sort     partition ──▶ parallel
-//!                  inside the worker thread)      reduce, deterministic
-//!                                                 output stitching
+//! map workers ──▶ per-partition unsorted ──▶ per partition: dense table or
+//! (parallel)      spills (combine +          one stable sort ──▶ parallel
+//!                  partition inside the      reduce, deterministic output
+//!                  worker thread)            stitching
 //! ```
 //!
 //! The old engine — one global `O(n log n)` sort and a sequential reduce —
 //! survives as [`reference::run_job_reference`], the executable
 //! specification that differential tests and the `wh-bench` regression
 //! harness compare against. [`EngineConfig`] exposes the knobs (reducer
-//! count, reduce parallelism, streaming combining, spill chunk size,
-//! key-domain hint); [`RunMetrics`] carries real per-phase wall-clock
-//! next to the simulated cluster time.
+//! count, map and reduce parallelism, key-domain hint, plus the
+//! multi-process recovery settings); [`RunMetrics`] carries real
+//! per-phase wall-clock next to the simulated cluster time.
 //!
 //! Since PR 3 the engine is radix-specialized for the small-integer keys
 //! every algorithm in the paper shuffles: a job whose key type implements
-//! the sealed [`RadixKey`] trait ([`JobSpec::with_radix_keys`]) sorts its
-//! spills through the LSD radix/counting sort in [`radix`] — the exact
-//! permutation of the comparison sort it replaces — and, given a bounded
-//! key domain ([`EngineConfig::key_domain_hint`]), combines through a
-//! recycled flat-array table instead of a hash map. Map workers reuse
-//! their buffers across tasks, and tiny jobs skip thread spawns on both
-//! the map and reduce sides.
+//! the sealed [`RadixKey`] trait ([`JobSpec::with_radix_keys`]) groups its
+//! combiner input through the LSD radix/counting sort in [`radix`] — the
+//! exact permutation of the comparison sort it replaces — and, given a
+//! bounded key domain ([`EngineConfig::key_domain_hint`]), combines
+//! through a recycled flat-array table instead. Map workers reuse their
+//! buffers across tasks, and tiny jobs skip thread spawns on both the map
+//! and reduce sides.
 //!
-//! Since PR 4 the bounded-domain specialization reaches the reduce side
-//! too: the engine selects an explicit per-job [`ReduceStrategy`] — dense
-//! flat-array aggregation when a radix codec and a bounded domain are
-//! declared, one stable radix sort per partition when only the codec is,
-//! and the k-way merge of pre-sorted spills otherwise — recording the
-//! choice per partition in [`RunMetrics::reduce_strategies`]. Reduce
-//! workers recycle their scratch (radix buffers + dense table) across
-//! partitions exactly like map workers recycle theirs across tasks.
+//! The reduce side runs one of two explicit per-job [`ReduceStrategy`]s,
+//! chosen from the job's key codec and domain hint: dense flat-array
+//! aggregation when a radix codec and a bounded domain are declared, and
+//! otherwise one stable sort per partition (radix with a codec,
+//! comparison without) — recording the choice per partition in
+//! [`RunMetrics::reduce_strategies`]. Reduce workers recycle their
+//! scratch (radix buffers + dense table) across partitions exactly like
+//! map workers recycle theirs across tasks.
 //!
 //! Since PR 7 the engine also runs **distributed**:
 //! [`EngineMode::MultiProcess`] forks map workers as child processes that

@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Which reduce-side execution strategy the pipelined engine ran for one
-/// reduce partition. Purely an execution detail: every strategy delivers
+/// reduce partition. Purely an execution detail: both strategies deliver
 /// the identical key-group sequence to the reduce function — key groups in
 /// key order, values in `(split id, arrival order)` order — so outputs are
 /// bit-identical across strategies (differential tests enforce it).
@@ -12,19 +12,17 @@ pub enum ReduceStrategy {
     /// Flat slot-array aggregation over a bounded key domain: pairs
     /// scatter into a recycled table sized to the partition's actual key
     /// range, groups are emitted in ascending radix (= key) order — no
-    /// sort, no merge. Selected when the job declares radix keys and an
+    /// sort. Selected when the job declares radix keys and an
     /// [`crate::EngineConfig::key_domain_hint`] small enough for a flat
     /// array.
     DenseReduce,
-    /// One stable radix sort of the partition's split-ordered run
-    /// concatenation (runs arrive unsorted from the map workers), then a
-    /// linear grouping pass. Selected for radix jobs with several
-    /// partitions whose domain is too wide for the dense table.
+    /// One stable sort of the partition's split-ordered run concatenation
+    /// (runs arrive unsorted from the map workers) — the LSD radix sort
+    /// when the job declares radix keys, a comparison sort otherwise —
+    /// then a linear grouping pass. Selected for every job the dense
+    /// table cannot take: no codec, or a domain too wide or undeclared,
+    /// on any number of partitions.
     SortAtReduce,
-    /// K-way merge of per-task runs pre-sorted inside the map workers —
-    /// the generic `Ord` path, and the only strategy available without a
-    /// radix codec.
-    Merge,
 }
 
 /// How many reduce partitions of a run executed under each
@@ -37,10 +35,8 @@ pub enum ReduceStrategy {
 pub struct ReduceStrategyCounts {
     /// Partitions that aggregated through the dense flat-array table.
     pub dense_reduce: u32,
-    /// Partitions that radix-sorted their concatenated runs once.
+    /// Partitions that sorted their concatenated runs once.
     pub sort_at_reduce: u32,
-    /// Partitions that k-way merged pre-sorted runs.
-    pub merge: u32,
 }
 
 impl ReduceStrategyCounts {
@@ -49,21 +45,19 @@ impl ReduceStrategyCounts {
         match strategy {
             ReduceStrategy::DenseReduce => self.dense_reduce += 1,
             ReduceStrategy::SortAtReduce => self.sort_at_reduce += 1,
-            ReduceStrategy::Merge => self.merge += 1,
         }
     }
 
     /// Total partitions recorded (equals the reducer count for a
     /// pipelined round; the reference engine records nothing).
     pub fn total(&self) -> u32 {
-        self.dense_reduce + self.sort_at_reduce + self.merge
+        self.dense_reduce + self.sort_at_reduce
     }
 
     /// Accumulates another round's counts.
     fn absorb(&mut self, other: &ReduceStrategyCounts) {
         self.dense_reduce += other.dense_reduce;
         self.sort_at_reduce += other.sort_at_reduce;
-        self.merge += other.merge;
     }
 }
 
@@ -71,8 +65,8 @@ impl fmt::Display for ReduceStrategyCounts {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "dense:{}/sort:{}/merge:{}",
-            self.dense_reduce, self.sort_at_reduce, self.merge
+            "dense:{}/sort:{}",
+            self.dense_reduce, self.sort_at_reduce
         )
     }
 }
@@ -209,19 +203,16 @@ pub struct RunMetrics {
     /// Simulated wall-clock seconds on the configured cluster.
     pub sim_time_s: f64,
     /// Real elapsed seconds of the map phase: task execution, in-mapper
-    /// combining, and per-partition spill preparation. What a spill is
-    /// depends on the job's [`ReduceStrategy`]: the `Merge` strategy
-    /// pre-sorts each partition run inside the map worker, while
-    /// `SortAtReduce` and `DenseReduce` ship runs unsorted (ordering is
-    /// the reduce side's job there).
+    /// combining, and partitioning. Spill runs ship unsorted: ordering is
+    /// the reduce side's job under either [`ReduceStrategy`].
     pub wall_map_s: f64,
     /// Real elapsed seconds of the shuffle (regrouping spill runs into
     /// per-partition reduce inputs; accounting).
     pub wall_shuffle_s: f64,
     /// Real elapsed seconds of the reduce phase: per-partition grouping
     /// under the selected [`ReduceStrategy`] (flat slot-array
-    /// aggregation, one stable radix sort, or a k-way merge of pre-sorted
-    /// runs), reduce calls, the Close hook, and output stitching.
+    /// aggregation or one stable sort), reduce calls, the Close hook, and
+    /// output stitching.
     pub wall_reduce_s: f64,
     /// Per-strategy count of reduce partitions in this run (pipelined
     /// engine only; the reference engine records nothing). Excluded from
@@ -373,7 +364,6 @@ mod tests {
             reduce_strategies: ReduceStrategyCounts {
                 dense_reduce: 3,
                 sort_at_reduce: 1,
-                merge: 0,
             },
             wire: WireTraffic {
                 pair_bytes: 100,
@@ -487,7 +477,6 @@ mod tests {
         sorted
             .reduce_strategies
             .record(ReduceStrategy::SortAtReduce);
-        sorted.reduce_strategies.record(ReduceStrategy::Merge);
         assert_ne!(dense.reduce_strategies, sorted.reduce_strategies);
         assert_eq!(dense, sorted, "strategy counts must not break equality");
     }
@@ -499,18 +488,16 @@ mod tests {
         c.record(ReduceStrategy::DenseReduce);
         c.record(ReduceStrategy::DenseReduce);
         c.record(ReduceStrategy::SortAtReduce);
-        c.record(ReduceStrategy::Merge);
         assert_eq!(c.dense_reduce, 2);
         assert_eq!(c.sort_at_reduce, 1);
-        assert_eq!(c.merge, 1);
-        assert_eq!(c.total(), 4);
-        assert_eq!(c.to_string(), "dense:2/sort:1/merge:1");
+        assert_eq!(c.total(), 3);
+        assert_eq!(c.to_string(), "dense:2/sort:1");
         let m = RunMetrics {
             rounds: 1,
             reduce_strategies: c,
             ..Default::default()
         };
-        assert!(m.to_string().contains("strategies=dense:2/sort:1/merge:1"));
+        assert!(m.to_string().contains("strategies=dense:2/sort:1"));
     }
 
     #[test]

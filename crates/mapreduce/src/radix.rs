@@ -1,16 +1,18 @@
-//! Radix key codecs and the LSD radix sort behind the map-path spill.
+//! Radix key codecs and the LSD radix sort behind combining and
+//! sort-at-reduce.
 //!
 //! Every algorithm in the paper shuffles *small-integer* keys — item keys
 //! from a bounded domain `[0, u)`, wavelet coefficient indices, sketch
 //! counter indices — yet a generic engine would treat them as opaque `Ord`
-//! values and comparison-sort every spill run. [`RadixKey`] lets a job
+//! values and comparison-sort every run it groups. [`RadixKey`] lets a job
 //! declare (via [`crate::JobSpec::with_radix_keys`]) that its key type has
 //! an **order-preserving** `u64` image, unlocking:
 //!
-//! * an LSD (least-significant-digit) radix sort for spill runs and
-//!   combiner grouping — `O(n · bytes(max key))` with branch-free inner
-//!   loops instead of `O(n log n)` branch-missy comparisons, producing the
-//!   *exact* permutation of the stable comparison sort it replaces;
+//! * an LSD (least-significant-digit) radix sort for combiner grouping
+//!   and sort-at-reduce partitions — `O(n · bytes(max key))` with
+//!   branch-free inner loops instead of `O(n log n)` branch-missy
+//!   comparisons, producing the *exact* permutation of the stable
+//!   comparison sort it replaces;
 //! * the dense-domain combine table (the crate's `dense` module) when the job also
 //!   carries an [`crate::EngineConfig::key_domain_hint`].
 //!
@@ -134,8 +136,8 @@ const PACK_IDX_BITS: u32 = 24;
 /// Reusable scratch of the radix sort: the ping-pong working buffers
 /// (packed `u64`s on the narrow-key fast path, `(radix, index)` tuples
 /// otherwise) plus the destination map of the final in-place
-/// permutation. One per map worker, recycled across every task and spill
-/// run that worker processes.
+/// permutation. One per map worker's combiner and one per reduce worker,
+/// recycled across every task or partition that worker processes.
 #[derive(Debug, Default)]
 pub(crate) struct RadixScratch {
     keyed: Vec<(u64, u32)>,

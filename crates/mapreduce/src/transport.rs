@@ -52,11 +52,16 @@ pub(crate) mod tag {
     pub const WORKER_END: u8 = 7;
 }
 
-/// Typed failure of a multi-process job. Everything the coordinator can
-/// observe going wrong — a missing codec, a dead worker, a short or
-/// malformed frame — surfaces as one of these instead of a hang or panic.
+/// Typed failure of a job. An invalid engine configuration, and
+/// everything the multi-process coordinator can observe going wrong — a
+/// missing codec, a dead worker, a short or malformed frame — surfaces as
+/// one of these instead of a hang or panic.
 #[derive(Debug)]
 pub enum EngineError {
+    /// The engine configuration asked for zero reduce partitions
+    /// ([`crate::EngineConfig::num_reducers`] `== 0`). Checked by
+    /// [`crate::try_run_job`] before any engine mode runs.
+    NoReducers,
     /// The job was asked to run multi-process but its `JobSpec` never
     /// installed a wire codec (`with_wire_codec`).
     MissingWireCodec,
@@ -108,6 +113,7 @@ pub enum EngineError {
 impl std::fmt::Display for EngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            EngineError::NoReducers => write!(f, "engine config needs at least one reducer"),
             EngineError::MissingWireCodec => write!(
                 f,
                 "multi-process mode requires JobSpec::with_wire_codec to install a pair codec"

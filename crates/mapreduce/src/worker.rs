@@ -14,7 +14,7 @@
 //!  ───────────                               ───────────────────────
 //!  split tasks round-robin ──fork──────────▶ runs its tasks via
 //!  one pipe per worker                       run_one_task (combine,
-//!  reader thread per pipe ◀──framed spill──  partition, pre-sort),
+//!  reader thread per pipe ◀──framed spill──  partition),
 //!  (idle read deadline)                      streams TASK/RUN/PAIRS
 //!  decode + CRC-verify frames                frames + per-task state
 //!  commit tasks at TASK_END                  journal, then WORKER_END,
@@ -97,12 +97,11 @@ mod unix {
 
     use crate::cost::ClusterConfig;
     use crate::engine::{
-        dense_combine_domain, run_one_task, select_strategy, shuffle_reduce_finish, MapWorker,
-        TaskSpill,
+        dense_combine_domain, run_one_task, shuffle_reduce_finish, MapWorker, TaskSpill,
     };
     use crate::fault::ChildFaults;
     use crate::job::{JobOutput, JobSpec, MapTask, PairCodec, PartitionFn};
-    use crate::metrics::{RecoveryStats, ReduceStrategy, WireTraffic};
+    use crate::metrics::{RecoveryStats, WireTraffic};
     use crate::state::{StateOp, StateStore};
     use crate::transport::process::{self, DeadlineReader, Exit};
     use crate::transport::{tag, EngineError, FrameReader, FrameWriter, PAIR_CHUNK_BYTES};
@@ -141,7 +140,6 @@ mod unix {
             state,
             ..
         } = spec;
-        assert!(engine.num_reducers >= 1, "need at least one reducer");
         let Some(codec) = pair_codec else {
             return Err(EngineError::MissingWireCodec);
         };
@@ -151,7 +149,6 @@ mod unix {
             engine.key_domain_hint,
             combiner.is_some(),
         );
-        let strategy = select_strategy(key_codec.is_some(), engine.key_domain_hint, nparts);
 
         // A job with no tasks has nothing to fork for; run the (empty)
         // downstream phases directly so the Close hook still fires.
@@ -164,7 +161,6 @@ mod unix {
                 reduce,
                 finish,
                 broadcast_bytes,
-                strategy,
                 key_codec,
                 0.0,
             ));
@@ -240,9 +236,7 @@ mod unix {
                             child_main(
                                 my_tasks,
                                 write_end,
-                                &engine,
                                 nparts,
-                                strategy,
                                 &combiner,
                                 &partitioner,
                                 key_codec,
@@ -442,7 +436,6 @@ mod unix {
             reduce,
             finish,
             broadcast_bytes,
-            strategy,
             key_codec,
             wall_map_s,
         );
@@ -476,9 +469,7 @@ mod unix {
     fn child_main<K, V>(
         tasks: Vec<MapTask<K, V>>,
         write_end: File,
-        engine: &crate::engine::EngineConfig,
         nparts: usize,
-        strategy: ReduceStrategy,
         combiner: &Option<crate::job::CombineFn<K, V>>,
         partitioner: &PartitionFn<K>,
         key_codec: Option<fn(&K) -> u64>,
@@ -505,16 +496,7 @@ mod unix {
             if faults.kill_before_task == Some(local_idx as u32) {
                 process::die_by_signal();
             }
-            let spill = run_one_task(
-                task,
-                engine,
-                nparts,
-                strategy,
-                combiner,
-                partitioner,
-                key_codec,
-                &mut worker_state,
-            );
+            let spill = run_one_task(task, nparts, combiner, partitioner, &mut worker_state);
             payload.clear();
             spill.split_id.encode_wire(&mut payload);
             u8::from(spill.scattered).encode_wire(&mut payload);

@@ -67,11 +67,11 @@ fn main() {
     let s = engine.metrics.reduce_strategies;
     println!(
         "\nSend-Coef-2D ran on the pipelined engine \
-         (reduce partitions: {} dense / {} sorted / {} merged — at this \
-         [2^7]² domain the (u16,u16) key hint is above the dense-table \
-         ceiling, so the engine falls back to sort/merge; at [2^6]² and \
-         below it reduces densely)",
-        s.dense_reduce, s.sort_at_reduce, s.merge
+         (reduce partitions: {} dense / {} sorted — at this [2^7]² \
+         domain the (u16,u16) key hint is above the dense-table ceiling, \
+         so the engine sorts at reduce; at [2^6]² and below it reduces \
+         densely)",
+        s.dense_reduce, s.sort_at_reduce
     );
 
     // The engine-built histogram reproduces the centralized top-k.

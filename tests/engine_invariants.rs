@@ -126,11 +126,7 @@ proptest! {
         prop_assert_eq!(dense_m.reduce_strategies.dense_reduce, reducers);
         prop_assert_eq!(dense_m.reduce_strategies.total(), reducers);
         prop_assert_eq!(sorted_m.reduce_strategies.total(), reducers);
-        if reducers > 1 {
-            prop_assert_eq!(sorted_m.reduce_strategies.sort_at_reduce, reducers);
-        } else {
-            prop_assert_eq!(sorted_m.reduce_strategies.merge, 1);
-        }
+        prop_assert_eq!(sorted_m.reduce_strategies.sort_at_reduce, reducers);
         prop_assert_eq!(dense_out, sorted_out);
         // `==` compares logical fields only: strategy selection must
         // never break the determinism contract.

@@ -1,8 +1,7 @@
 //! Property and differential tests of the pipelined execution engine:
-//! multi-reducer equivalence for every builder, streaming-combiner
-//! byte-identity, determinism across thread counts and reduce strategies
-//! (dense reduce / sort-at-reduce / merge), and pipelined-vs-seed engine
-//! equivalence on randomized jobs.
+//! multi-reducer equivalence for every builder, determinism across thread
+//! counts and reduce strategies (dense reduce / sort-at-reduce), and
+//! pipelined-vs-seed engine equivalence on randomized jobs.
 
 use proptest::prelude::*;
 use wavelet_hist::builders::{
@@ -102,85 +101,6 @@ fn every_builder_deterministic_across_thread_counts() {
             assert_eq!(a.metrics, b.metrics, "threads={threads}");
         }
     }
-}
-
-/// A combiner-based wordcount job whose Close hook assembles a k-term
-/// histogram — exercises the streaming-combine path end to end.
-fn histogram_job(
-    engine: EngineConfig,
-    splits: &[Vec<u64>],
-) -> (Vec<(u64, f64)>, wavelet_hist::mapreduce::RunMetrics) {
-    let domain = Domain::new(6).unwrap();
-    let tasks: Vec<MapTask<WKey, u64>> = splits
-        .iter()
-        .cloned()
-        .enumerate()
-        .map(|(j, keys)| {
-            MapTask::new(j as u32, move |ctx: &mut MapContext<WKey, u64>| {
-                ctx.note_read(keys.len() as u64, keys.len() as u64 * 4);
-                for k in &keys {
-                    ctx.emit(WKey::four(*k % 64), 1);
-                }
-            })
-        })
-        .collect();
-    let acc = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-    let acc_reduce = std::sync::Arc::clone(&acc);
-    let spec = JobSpec::new(
-        "hist-wc",
-        tasks,
-        move |k: &WKey, vs: &[u64], ctx: &mut ReduceContext<(u64, f64)>| {
-            ctx.charge(vs.len() as f64);
-            acc_reduce
-                .lock()
-                .expect("no poisoned reducers")
-                .push((k.id, vs.iter().sum::<u64>()));
-        },
-    )
-    .with_combiner(|_k, vs: &mut Vec<u64>| {
-        let total: u64 = vs.iter().sum();
-        vs.clear();
-        vs.push(total);
-    })
-    .with_engine(engine)
-    .with_finish(move |ctx| {
-        let counts = acc.lock().expect("no poisoned reducers");
-        let coefs = wavelet_hist::wavelet::sparse::sparse_transform(
-            domain,
-            counts.iter().map(|&(x, c)| (x, c as f64)),
-        );
-        for e in wavelet_hist::wavelet::select::top_k_magnitude(coefs, 8) {
-            ctx.emit((e.slot, e.value));
-        }
-    });
-    let out = run_job(&ClusterConfig::paper_cluster(), spec);
-    (out.outputs, out.metrics)
-}
-
-/// Satellite (b): streaming combining is byte-identical to batch
-/// combining — same histogram, same `RunMetrics` — for any spill chunk.
-#[test]
-fn streaming_combiner_byte_identical_to_batch() {
-    let splits: Vec<Vec<u64>> = (0..6)
-        .map(|j| (0..2_000u64).map(|i| (i * (j + 2)) % 300).collect())
-        .collect();
-    let (base_out, base_metrics) = histogram_job(EngineConfig::default(), &splits);
-    for chunk in [0, 1, 13, 256, 100_000] {
-        let engine = EngineConfig::default()
-            .with_streaming_combine(true)
-            .with_spill_chunk(chunk);
-        let (out, metrics) = histogram_job(engine, &splits);
-        assert_eq!(base_out, out, "chunk={chunk}: histogram");
-        assert_eq!(base_metrics, metrics, "chunk={chunk}: metrics");
-    }
-    // And with multiple reducers on top.
-    let engine = EngineConfig::default()
-        .with_streaming_combine(true)
-        .with_spill_chunk(64)
-        .with_reducers(4);
-    let (out, metrics) = histogram_job(engine, &splits);
-    assert_eq!(base_out, out, "R=4 streaming: histogram");
-    assert_eq!(base_metrics, metrics, "R=4 streaming: metrics");
 }
 
 /// Every builder declares a tight bounded key domain, so with the default
@@ -437,8 +357,7 @@ proptest! {
 
     /// Satellite (PR 3): the dense-domain combine table and the radix
     /// spill sort are byte-identical to the hash/comparison paths on
-    /// random jobs — outputs *and* metrics — including under streaming
-    /// combining and any reducer count.
+    /// random jobs — outputs *and* metrics — for any reducer count.
     #[test]
     fn dense_domain_combine_equals_hash_combine(
         splits in splits_strategy(),
@@ -449,18 +368,11 @@ proptest! {
         let hinted = plain.with_key_domain(64);
         let base = combine_count_job(splits.clone(), plain, false);
         let radix_only = combine_count_job(splits.clone(), plain, true);
-        let dense = combine_count_job(splits.clone(), hinted, true);
-        let dense_streaming = combine_count_job(
-            splits,
-            hinted.with_streaming_combine(true).with_spill_chunk(16),
-            true,
-        );
+        let dense = combine_count_job(splits, hinted, true);
         prop_assert_eq!(&base.0, &radix_only.0);
         prop_assert_eq!(&base.1, &radix_only.1);
         prop_assert_eq!(&base.0, &dense.0);
         prop_assert_eq!(&base.1, &dense.1);
-        prop_assert_eq!(&base.0, &dense_streaming.0);
-        prop_assert_eq!(&base.1, &dense_streaming.1);
     }
 
     /// Differential: radix + dense specializations against the preserved
@@ -487,20 +399,26 @@ proptest! {
     }
 
     /// Tentpole (PR 4): the dense-reduce strategy is byte-identical —
-    /// outputs *and* metrics, charged CPU included — to sort-at-reduce,
-    /// to the merge path, and to the preserved seed engine, on random
-    /// bounded-domain jobs, for 1/2/8 reducers and 1/2/8 reduce threads.
+    /// outputs *and* metrics, charged CPU included — to sort-at-reduce
+    /// (comparison sort without a codec, radix sort with one) and to the
+    /// preserved seed engine, on random bounded-domain jobs, for 1/2/8
+    /// reducers and 1/2/8 reduce threads. The codec-less and wide-domain
+    /// radix legs also pin those jobs to the seed engine at one reducer.
     #[test]
     fn dense_reduce_equals_every_strategy_and_engine(splits in splits_strategy()) {
         for reducers in [1u32, 2, 8] {
             let base = EngineConfig::pipelined().with_reducers(reducers);
-            // No codec → pre-sorted spills + k-way merge.
-            let merge = strategy_probe_job(splits.clone(), base, false);
-            // Codec without a hint → one radix sort per partition when
-            // R > 1 (merge again when R = 1).
-            let sorted = strategy_probe_job(splits.clone(), base, true);
-            prop_assert_eq!(&merge.0, &sorted.0, "reducers={}", reducers);
-            prop_assert_eq!(&merge.1, &sorted.1, "reducers={}", reducers);
+            // No codec → comparison sort-at-reduce.
+            let no_codec = strategy_probe_job(splits.clone(), base, false);
+            prop_assert_eq!(no_codec.1.reduce_strategies.sort_at_reduce, reducers);
+            // Codec without a hint, or with one too wide for the dense
+            // table → radix sort-at-reduce, on any reducer count.
+            for engine in [base, base.with_key_domain(1 << 30)] {
+                let sorted = strategy_probe_job(splits.clone(), engine, true);
+                prop_assert_eq!(sorted.1.reduce_strategies.sort_at_reduce, reducers);
+                prop_assert_eq!(&no_codec.0, &sorted.0, "reducers={}", reducers);
+                prop_assert_eq!(&no_codec.1, &sorted.1, "reducers={}", reducers);
+            }
             // Codec + bounded domain → dense reduce, at every thread count.
             for threads in [1usize, 2, 8] {
                 let dense = strategy_probe_job(
@@ -508,12 +426,13 @@ proptest! {
                     base.with_key_domain(64).with_reducer_parallelism(threads),
                     true,
                 );
+                prop_assert_eq!(dense.1.reduce_strategies.dense_reduce, reducers);
                 prop_assert_eq!(
-                    &merge.0, &dense.0,
+                    &no_codec.0, &dense.0,
                     "reducers={} threads={}", reducers, threads
                 );
                 prop_assert_eq!(
-                    &merge.1, &dense.1,
+                    &no_codec.1, &dense.1,
                     "reducers={} threads={}", reducers, threads
                 );
             }
@@ -523,8 +442,8 @@ proptest! {
                 EngineConfig::reference().with_reducers(reducers),
                 false,
             );
-            prop_assert_eq!(&merge.0, &reference.0, "reducers={}", reducers);
-            prop_assert_eq!(&merge.1, &reference.1, "reducers={}", reducers);
+            prop_assert_eq!(&no_codec.0, &reference.0, "reducers={}", reducers);
+            prop_assert_eq!(&no_codec.1, &reference.1, "reducers={}", reducers);
         }
     }
 

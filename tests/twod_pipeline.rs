@@ -7,8 +7,9 @@
 //!
 //! * **Differential build** — the engine-built 2-D histogram equals the
 //!   sequential `twod.rs` reference **bit for bit** across
-//!   {dense-reduce, sort-at-reduce, merge} × {1, 2, 8} reducers ×
-//!   {1, 4} threads × the reference engine, and (on unix) across forked
+//!   {dense-reduce at u = 2^5 per axis, sort-at-reduce at u = 2^7} ×
+//!   {1, 2, 8} reducers × {1, 4} threads × the reference engine, and
+//!   (on unix) across forked
 //!   multi-process workers carrying the `(u16, u16)` coefficient keys
 //!   over the wire.
 //! * **Error bounds** — against the exact 2-D frequency array, every
@@ -63,6 +64,22 @@ fn datasets() -> Vec<(&'static str, Dataset2d)> {
     vec![("zipf2d", zipf2d()), ("worldcup2d", worldcup2d())]
 }
 
+/// Correlated 2-D Zipf at u = 2^7 per axis: the builder's tight key hint
+/// `(127 << 16 | 127) + 1` is above the engine's 2^22 dense cap, so this
+/// input reaches sort-at-reduce on every reducer count.
+fn wide2d() -> Dataset2d {
+    Dataset2d::new(
+        Domain::new(7).unwrap(),
+        Distribution2d::Correlated {
+            alpha: 1.1,
+            spread: 3,
+        },
+        16_000,
+        8,
+        0x2d70,
+    )
+}
+
 fn scramble(x: u64) -> u64 {
     let mut z = x.wrapping_mul(0x9e3779b97f4a7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
@@ -101,52 +118,51 @@ fn assert_coefs_eq(got: &WaveletHistogram2d, want: &WaveletHistogram2d, ctx: &st
 
 /// Tentpole differential: the engine-built 2-D histogram is bit-identical
 /// to the sequential reference on every reduce strategy, reducer count,
-/// thread count, and engine — and the strategy really varies: the tight
-/// `(u16, u16)` key-domain hint selects dense-reduce, withholding it
-/// selects sort-at-reduce (several reducers) or merge (one reducer).
+/// thread count, and engine — and the strategy really varies with the
+/// input: the tight `(u16, u16)` key-domain hint selects dense-reduce at
+/// u = 2^5 per axis and sort-at-reduce at u = 2^7, where it exceeds the
+/// dense cap.
 #[test]
 fn engine_built_matches_sequential_reference_across_strategies() {
     let cluster = ClusterConfig::paper_cluster();
-    for (name, ds) in datasets() {
+    let mut inputs: Vec<(&str, Dataset2d, bool)> = datasets()
+        .into_iter()
+        .map(|(name, ds)| (name, ds, false))
+        .collect();
+    inputs.push(("wide2d", wide2d(), true));
+    for (name, ds, wide) in inputs {
         let want = sequential_send_coef2d(&ds, K);
         for reducers in [1u32, 2, 8] {
-            for tight in [true, false] {
-                let mut metrics: Option<RunMetrics> = None;
-                for threads in [1usize, 4] {
-                    let engines = [
-                        EngineConfig::pipelined()
-                            .with_reducers(reducers)
-                            .with_map_parallelism(threads)
-                            .with_reducer_parallelism(threads),
-                        EngineConfig::reference().with_reducers(reducers),
-                    ];
-                    for (e, engine) in engines.into_iter().enumerate() {
-                        let ctx =
-                            format!("{name} r={reducers} tight={tight} t={threads} engine={e}");
-                        let got = SendCoef2d::new()
-                            .with_tight_hint(tight)
-                            .with_engine(engine)
-                            .build(&ds, &cluster, K);
-                        assert_coefs_eq(&got.histogram, &want, &ctx);
-                        // Logical metrics agree across every execution.
-                        match &metrics {
-                            None => metrics = Some(got.metrics),
-                            Some(m) => assert_eq!(*m, got.metrics, "metrics diverged: {ctx}"),
-                        }
-                        // The pipelined engine must really exercise the
-                        // advertised strategy (the reference engine does
-                        // not plan strategies).
-                        if e == 0 {
-                            let s = metrics.as_ref().unwrap().reduce_strategies;
-                            let got_s = got.metrics.reduce_strategies;
-                            assert_eq!(got_s.total(), s.total(), "{ctx}");
-                            if tight {
-                                assert_eq!(got_s.dense_reduce, got_s.total(), "{ctx}");
-                            } else if reducers > 1 {
-                                assert_eq!(got_s.sort_at_reduce, got_s.total(), "{ctx}");
-                            } else {
-                                assert_eq!(got_s.merge, 1, "{ctx}");
-                            }
+            let mut metrics: Option<RunMetrics> = None;
+            for threads in [1usize, 4] {
+                let engines = [
+                    EngineConfig::pipelined()
+                        .with_reducers(reducers)
+                        .with_map_parallelism(threads)
+                        .with_reducer_parallelism(threads),
+                    EngineConfig::reference().with_reducers(reducers),
+                ];
+                for (e, engine) in engines.into_iter().enumerate() {
+                    let ctx = format!("{name} r={reducers} t={threads} engine={e}");
+                    let got = SendCoef2d::new()
+                        .with_engine(engine)
+                        .build(&ds, &cluster, K);
+                    assert_coefs_eq(&got.histogram, &want, &ctx);
+                    // Logical metrics agree across every execution.
+                    match &metrics {
+                        None => metrics = Some(got.metrics),
+                        Some(m) => assert_eq!(*m, got.metrics, "metrics diverged: {ctx}"),
+                    }
+                    // The pipelined engine must really exercise the
+                    // advertised strategy (the reference engine does not
+                    // plan strategies).
+                    if e == 0 {
+                        let s = got.metrics.reduce_strategies;
+                        assert_eq!(s.total(), reducers, "{ctx}");
+                        if wide {
+                            assert_eq!(s.sort_at_reduce, reducers, "{ctx}");
+                        } else {
+                            assert_eq!(s.dense_reduce, reducers, "{ctx}");
                         }
                     }
                 }

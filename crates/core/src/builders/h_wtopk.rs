@@ -95,7 +95,7 @@ impl HistogramBuilder for HWTopk {
                     );
                     ctx.charge(local.len() as f64 * (domain.log_u() + 1) as f64 * ops::COEF_UPDATE);
                     let mut tb = TopBottomK::new(k);
-                    for (&slot, &w) in &coefs {
+                    for &(slot, w) in &coefs {
                         tb.offer(slot, w);
                     }
                     ctx.charge(coefs.len() as f64 * 2.0 * ops::HEAP_OFFER);
@@ -134,12 +134,11 @@ impl HistogramBuilder for HWTopk {
                     // under the multi-process engine these bytes ride the
                     // journal back to the coordinator (the paper's local
                     // HDFS state file — still free of *charged* network).
-                    let mut remaining: Vec<(u64, f64)> = coefs
-                        .iter()
+                    // Slot-ascending, as the transform returns them.
+                    let remaining: Vec<(u64, f64)> = coefs
+                        .into_iter()
                         .filter(|(slot, _)| !sent.contains_key(slot))
-                        .map(|(&s, &w)| (s, w))
                         .collect();
-                    remaining.sort_unstable_by_key(|&(s, _)| s);
                     state.save_wire(j, &remaining);
                 })
             })

@@ -6,18 +6,13 @@
 //! reducer never sees the dropped counts, so `E[v̂(x)]` can sit `εn` below
 //! `v(x)` (the widening SSE gap of Figs. 6–7).
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-
 use super::sample_common::first_level_counts;
-use super::{ops, BuildResult, HistogramBuilder};
+use super::{ops, BuildResult, HistogramBuilder, ReduceSink};
 use crate::histogram::WaveletHistogram;
 use wh_data::Dataset;
 use wh_mapreduce::wire::{Sized as WSized, WKey};
 use wh_mapreduce::{run_job, ClusterConfig, EngineConfig, JobSpec, MapTask};
 use wh_sampling::SamplingConfig;
-use wh_wavelet::hash::FxHashMap;
 use wh_wavelet::select::top_k_magnitude;
 
 /// The Improved-S sampling builder.
@@ -69,17 +64,14 @@ impl HistogramBuilder for ImprovedS {
             })
             .collect();
 
-        let s: Arc<Mutex<FxHashMap<u64, u64>>> = Arc::new(Mutex::new(FxHashMap::default()));
-        let s_reduce = Arc::clone(&s);
+        let s = ReduceSink::new();
+        let s_reduce = s.clone();
         let reduce = move |key: &WKey,
                            vals: &[WSized<u64>],
                            ctx: &mut wh_mapreduce::ReduceContext<(u64, f64)>| {
             ctx.charge(vals.len() as f64 * ops::REDUCE_PAIR);
-            s_reduce
-                .lock()
-                .insert(key.id, vals.iter().map(|v| v.value).sum());
+            s_reduce.push(key.id, vals.iter().map(|v| v.value).sum::<u64>());
         };
-        let s_finish = Arc::clone(&s);
         let p = cfg.p();
         // Sampled item keys live in [0, u); `u` is the tightest static
         // bound (the emitted subset is data-dependent), and the
@@ -90,17 +82,12 @@ impl HistogramBuilder for ImprovedS {
             .with_wire_codec()
             .with_engine(self.engine.with_key_domain(domain.u()))
             .with_finish(move |ctx| {
-                let s = s_finish.lock();
-                // Iterate the shared accumulator in key order: with parallel reduce
-                // partitions, hash-map layout depends on racy cross-partition
-                // insertion interleaving, and float accumulation must not.
-                let mut entries: Vec<(u64, u64)> = s.iter().map(|(&x, &c)| (x, c)).collect();
-                entries.sort_unstable_by_key(|&(x, _)| x);
+                let entries = s.take_sorted();
                 let coefs = wh_wavelet::sparse::sparse_transform(
                     domain,
                     entries.iter().map(|&(x, c)| (x, c as f64 / p)),
                 );
-                ctx.charge(s.len() as f64 * (domain.log_u() + 1) as f64 * ops::COEF_UPDATE);
+                ctx.charge(entries.len() as f64 * (domain.log_u() + 1) as f64 * ops::COEF_UPDATE);
                 ctx.charge(coefs.len() as f64 * ops::HEAP_OFFER);
                 for e in top_k_magnitude(coefs, k) {
                     ctx.emit((e.slot, e.value));

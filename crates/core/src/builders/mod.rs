@@ -28,6 +28,10 @@ pub use send_sketch_ams::SendSketchAms;
 pub use send_v::SendV;
 pub use two_level_s::TwoLevelS;
 
+use std::sync::Arc;
+
+use parking_lot::Mutex;
+
 use crate::histogram::WaveletHistogram;
 use wh_data::Dataset;
 use wh_mapreduce::{ClusterConfig, RunMetrics};
@@ -49,6 +53,39 @@ pub trait HistogramBuilder {
 
     /// Builds the best-k-term histogram of `dataset` on `cluster`.
     fn build(&self, dataset: &Dataset, cluster: &ClusterConfig, k: usize) -> BuildResult;
+}
+
+/// The hand-off from a job's reduce function to its finish step: every
+/// reduce partition pushes one `(key, value)` per reduced key, and finish
+/// takes them sorted by key.
+///
+/// Each key is reduced exactly once, so the sorted sequence does not
+/// depend on how parallel reduce partitions interleaved — float work in
+/// finish sees the same input on every run and thread count.
+pub(crate) struct ReduceSink<V>(Arc<Mutex<Vec<(u64, V)>>>);
+
+impl<V> Clone for ReduceSink<V> {
+    fn clone(&self) -> Self {
+        Self(Arc::clone(&self.0))
+    }
+}
+
+impl<V> ReduceSink<V> {
+    pub(crate) fn new() -> Self {
+        Self(Arc::new(Mutex::new(Vec::new())))
+    }
+
+    /// Records the reduced value of `key`.
+    pub(crate) fn push(&self, key: u64, value: V) {
+        self.0.lock().push((key, value));
+    }
+
+    /// Takes every recorded pair, in ascending key order.
+    pub(crate) fn take_sorted(&self) -> Vec<(u64, V)> {
+        let mut entries = std::mem::take(&mut *self.0.lock());
+        entries.sort_unstable_by_key(|e| e.0);
+        entries
+    }
 }
 
 /// Cost-model constants shared by the builders: abstract CPU ops charged

@@ -7,11 +7,7 @@
 //! keeps the top-k. Communication is `O(m·u)` in the worst case — the
 //! drawback motivating H-WTopk.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-
-use super::{ops, BuildResult, HistogramBuilder};
+use super::{ops, BuildResult, HistogramBuilder, ReduceSink};
 use crate::histogram::WaveletHistogram;
 use wh_data::Dataset;
 use wh_mapreduce::wire::{Sized as WSized, WKey};
@@ -71,16 +67,15 @@ impl HistogramBuilder for SendV {
 
         // Reducer: v(x) = Σ v_j(x) (8-byte accumulators reducer-side), then
         // transform + top-k in Close.
-        let v: Arc<Mutex<FxHashMap<u64, u64>>> = Arc::new(Mutex::new(FxHashMap::default()));
-        let v_reduce = Arc::clone(&v);
+        let v = ReduceSink::new();
+        let v_reduce = v.clone();
         let reduce = move |key: &WKey,
                            vals: &[WSized<u64>],
                            ctx: &mut wh_mapreduce::ReduceContext<(u64, f64)>| {
             let total: u64 = vals.iter().map(|s| s.value).sum();
             ctx.charge(vals.len() as f64 * ops::REDUCE_PAIR);
-            v_reduce.lock().insert(key.id, total);
+            v_reduce.push(key.id, total);
         };
-        let v_finish = Arc::clone(&v);
         // Item keys live in [0, u) and any item can occur, so `u` is the
         // tight exclusive bound: radix keys + bounded domain select the
         // dense-reduce strategy, whose per-partition tables size
@@ -90,18 +85,13 @@ impl HistogramBuilder for SendV {
             .with_wire_codec()
             .with_engine(self.engine.with_key_domain(domain.u()))
             .with_finish(move |ctx| {
-                let v = v_finish.lock();
-                // Iterate the shared accumulator in key order: with parallel reduce
-                // partitions, hash-map layout depends on racy cross-partition
-                // insertion interleaving, and float accumulation must not.
-                let mut entries: Vec<(u64, u64)> = v.iter().map(|(&x, &c)| (x, c)).collect();
-                entries.sort_unstable_by_key(|&(x, _)| x);
+                let entries = v.take_sorted();
                 // Sparse transform at the reducer: O(|v| log u).
                 let coefs = wh_wavelet::sparse::sparse_transform(
                     domain,
                     entries.iter().map(|&(x, c)| (x, c as f64)),
                 );
-                ctx.charge(v.len() as f64 * (domain.log_u() + 1) as f64 * ops::COEF_UPDATE);
+                ctx.charge(entries.len() as f64 * (domain.log_u() + 1) as f64 * ops::COEF_UPDATE);
                 ctx.charge(coefs.len() as f64 * ops::HEAP_OFFER);
                 for e in top_k_magnitude(coefs, k) {
                     ctx.emit((e.slot, e.value));

@@ -1,8 +1,8 @@
 //! Incrementally maintained wavelet histograms: the delta-build path.
 //!
 //! A [`MaintainedHistogram`] wraps `wh-wavelet`'s
-//! [`IncrementalTransform`] — exact integer leaf counts plus the dense
-//! pass's running averages, recomputed only along dirty paths — and
+//! [`IncrementalTransform`] — exact integer leaf counts and subtree sums,
+//! with the details recomputed only along dirty paths — and
 //! re-selects the top-`k` on demand. Its [`snapshot`](MaintainedHistogram::snapshot)
 //! is **bit-identical** to what [`crate::builders::Centralized`] would
 //! build from scratch on the concatenated data, whatever order the deltas
@@ -96,7 +96,9 @@ impl MaintainedHistogram {
     ///
     /// # Panics
     ///
-    /// Panics when a key lies outside the domain.
+    /// Panics when a key lies outside the domain or a count would
+    /// overflow `u64`. The delta is validated before anything changes,
+    /// so after a caught panic the histogram is exactly as it was.
     pub fn merge_delta(&mut self, delta: impl IntoIterator<Item = (u64, u64)>) {
         self.transform.apply_delta(delta);
     }

@@ -9,11 +9,7 @@
 //! exact method, and TwoLevel-S, over packed `(row_slot, col_slot)`
 //! coefficient addresses.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-
-use crate::builders::ops;
+use crate::builders::{ops, ReduceSink};
 use wh_data::twod::Dataset2d;
 use wh_mapreduce::cost::TaskWork;
 use wh_mapreduce::{
@@ -170,18 +166,17 @@ impl SendCoef2d {
             })
             .collect();
 
-        let acc: Arc<Mutex<FxHashMap<u64, f64>>> = Arc::new(Mutex::new(FxHashMap::default()));
-        let acc_reduce = Arc::clone(&acc);
+        let acc = ReduceSink::new();
+        let acc_reduce = acc.clone();
         let reduce = move |key: &(u16, u16),
                            vals: &[f64],
                            ctx: &mut wh_mapreduce::ReduceContext<(u64, f64)>| {
             ctx.charge(vals.len() as f64 * ops::REDUCE_PAIR);
-            acc_reduce.lock().insert(
+            acc_reduce.push(
                 pack_slot(u64::from(key.0), u64::from(key.1)),
                 vals.iter().sum(),
             );
         };
-        let acc_finish = Arc::clone(&acc);
         // The tight exclusive bound of the (u16, u16) radix image over
         // [0, u)²: row and col slots both stay below u.
         let hint = ((domain.u() - 1) << 16 | (domain.u() - 1)) + 1;
@@ -190,14 +185,9 @@ impl SendCoef2d {
             .with_wire_codec()
             .with_engine(self.engine.with_key_domain(hint))
             .with_finish(move |ctx| {
-                let w = acc_finish.lock();
-                // Key order, exactly as 1-D Send-Coef: hash-map layout
-                // depends on cross-partition insertion interleaving, and
-                // float accumulation downstream must not.
-                let mut entries: Vec<(u64, f64)> = w.iter().map(|(&s, &c)| (s, c)).collect();
-                entries.sort_unstable_by_key(|&(s, _)| s);
-                ctx.charge(w.len() as f64 * ops::HEAP_OFFER);
-                for e in top_k_magnitude(entries.iter().copied(), k) {
+                let entries = acc.take_sorted();
+                ctx.charge(entries.len() as f64 * ops::HEAP_OFFER);
+                for e in top_k_magnitude(entries, k) {
                     ctx.emit((e.slot, e.value));
                 }
             });

@@ -127,7 +127,11 @@ mod tests {
             .iter()
             .find(|e| e.slot == 136)
             .expect("slot 136 in top-4");
-        let true_leaf = exact[&136];
+        let true_leaf = exact
+            .iter()
+            .find(|&&(slot, _)| slot == 136)
+            .expect("spike leaf detail is non-zero")
+            .1;
         assert!(
             close(leaf.value, true_leaf, 0.2 * true_leaf.abs()),
             "{} vs {true_leaf}",

@@ -1,11 +1,47 @@
-//! Dense orthonormal Haar transform in `O(u)` time.
+//! Dense orthonormal Haar transform in `O(u)` time, and the one
+//! arithmetic it shares with the sparse and incremental transforms.
 //!
 //! The basis matches §2.1 of the paper (see [`crate`] docs for indexing):
 //! the transform is orthonormal, so energy is preserved —
 //! `Σ v(x)² = Σ w_i²` — which is what makes coefficient-space SSE
 //! computations ([`crate::sse`]) exact.
+//!
+//! # One arithmetic
+//!
+//! The dense pass here, the sparse kernel ([`crate::sparse`]) and the
+//! incrementally maintained transform ([`crate::incremental`]) compute
+//! every coefficient the same way: first the exact **subtree sums** of the
+//! frequency vector, then **one scaling**. With `h` the log₂ of a block's
+//! size and `L`, `R` the sums of its left and right halves,
+//!
+//! ```text
+//! detail of the block = (R − L) · s(h)
+//! slot 0              = S · s(log u)        (S = the total)
+//! s(h)                = 2^{−h/2}
+//! ```
+//!
+//! `s(h)` is an exact power of two, times `FRAC_1_SQRT_2` when `h` is odd.
+//! Integer sums below `2^53` are exact in `f64`, so each coefficient takes
+//! exactly one rounding, a detail is zero exactly when `R == L`, and the
+//! three paths agree bit for bit.
 
 use std::f64::consts::FRAC_1_SQRT_2;
+
+/// The orthonormal scale `s(h) = 2^{−h/2}` of a block of `2^h` keys.
+///
+/// Built from an exact power of two, times `1/√2` when `h` is odd, so
+/// `s(h)` itself carries at most the one rounding of `FRAC_1_SQRT_2` and
+/// `x · s(h)` rounds once. The dense, sparse and incremental transforms
+/// all scale their sums with it.
+#[inline]
+pub(crate) fn level_scale(h: u32) -> f64 {
+    let pow2 = 1.0 / (1u64 << (h / 2)) as f64;
+    if h % 2 == 1 {
+        pow2 * FRAC_1_SQRT_2
+    } else {
+        pow2
+    }
+}
 
 /// Forward orthonormal Haar transform.
 ///
@@ -22,11 +58,10 @@ pub fn forward(v: &[f64]) -> Vec<f64> {
 
 /// In-place forward transform. See [`forward`].
 ///
-/// Uses a scratch-free two-buffer sweep over the averages: after the pass at
-/// length `len`, positions `len/2..len` of the output hold the detail
-/// coefficients for that level and positions `0..len/2` hold the running
-/// averages, so the output naturally lands in the slot layout described in
-/// the crate docs.
+/// A sum cascade: the pass at length `len` leaves the subtree sums of the
+/// next level in positions `0..len/2` and that level's scaled details
+/// `(R − L)·s(h)` in `len/2..len`, so the output lands in the slot layout
+/// described in the crate docs. The final total is scaled by `s(log u)`.
 pub fn forward_in_place(v: &mut [f64]) {
     let u = v.len();
     assert!(
@@ -35,17 +70,21 @@ pub fn forward_in_place(v: &mut [f64]) {
     );
     let mut scratch = vec![0.0f64; u];
     let mut len = u;
+    let mut h = 1;
     while len > 1 {
         let half = len / 2;
+        let s = level_scale(h);
         for t in 0..half {
-            let a = v[2 * t];
-            let b = v[2 * t + 1];
-            scratch[t] = (a + b) * FRAC_1_SQRT_2;
-            scratch[half + t] = (b - a) * FRAC_1_SQRT_2;
+            let l = v[2 * t];
+            let r = v[2 * t + 1];
+            scratch[t] = l + r;
+            scratch[half + t] = (r - l) * s;
         }
         v[..len].copy_from_slice(&scratch[..len]);
         len = half;
+        h += 1;
     }
+    v[0] *= level_scale(u.trailing_zeros());
 }
 
 /// Inverse orthonormal Haar transform.
@@ -202,6 +241,32 @@ mod tests {
                 assert!(close(*a, *b), "u={u}: {a} vs {b}");
             }
         }
+    }
+
+    #[test]
+    fn level_scale_is_two_to_the_minus_half_h() {
+        for h in 0..=40u32 {
+            let want = 2f64.powf(-f64::from(h) / 2.0);
+            assert!(close(level_scale(h), want), "h = {h}");
+        }
+        // Even h: an exact power of two.
+        assert_eq!(level_scale(0), 1.0);
+        assert_eq!(level_scale(6), 0.125);
+        assert_eq!(level_scale(7), 0.125 * FRAC_1_SQRT_2);
+    }
+
+    #[test]
+    fn integer_signal_details_are_one_rounding_of_exact_sums() {
+        // Every coefficient of an integer signal is (R − L)·s(h) over the
+        // exact integer sums, so equal halves give an exact zero.
+        let v = [3.0, 5.0, 10.0, 8.0, 2.0, 2.0, 10.0, 14.0];
+        let w = forward(&v);
+        assert_eq!(w[0].to_bits(), (54.0 * level_scale(3)).to_bits());
+        assert_eq!(w[1].to_bits(), (2.0 * level_scale(3)).to_bits());
+        assert_eq!(w[2], 5.0);
+        assert_eq!(w[3], 10.0);
+        assert_eq!(w[5].to_bits(), (-2.0 * FRAC_1_SQRT_2).to_bits());
+        assert_eq!(w[6].to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -7,34 +7,32 @@
 //! associative: coefficient-space accumulation drifts from what a
 //! from-scratch build over the concatenated data would produce, and the
 //! drift depends on arrival order. [`IncrementalTransform`] sidesteps both
-//! problems by maintaining the *inputs* of the dense transform exactly —
-//! integer leaf counts — together with the per-level running averages of
-//! [`crate::haar::forward_in_place`]'s cascade, recomputed bottom-up along
-//! the dirty root-to-leaf paths with the **identical expressions** the
-//! dense pass uses:
+//! problems by maintaining the *inputs* of the transform exactly — integer
+//! leaf counts and the integer **subtree sums** above them — and
+//! recomputing the details along the dirty root-to-leaf paths with the one
+//! arithmetic of [`crate::haar`] (sums, then one scaling):
 //!
 //! ```text
-//! A_log_u(x) = count(x) as f64
-//! A_p(t)     = (A_{p+1}(2t) + A_{p+1}(2t+1)) · 1/√2
-//! detail at slot 2^p + t = (A_{p+1}(2t+1) − A_{p+1}(2t)) · 1/√2
-//! slot 0     = A_0(0)
+//! S_log_u(x) = count(x)
+//! S_p(t)     = S_{p+1}(2t) + S_{p+1}(2t+1)                 (exact, u64)
+//! detail at slot 2^p + t = (S_{p+1}(2t+1) − S_{p+1}(2t)) · s(log u − p)
+//! slot 0     = total · s(log u)
 //! ```
 //!
-//! Every average is a pure function of the final integer counts, so the
-//! state after any sequence of deltas equals the state after one combined
-//! delta — merge order cannot matter — and equals the dense
-//! [`crate::haar::forward`] of the final frequency vector bit for bit.
-//! Counts are unsigned and additive (a delta is *arriving* data), which
-//! keeps every stored average strictly positive: an absent map entry is
-//! exactly `0.0`, never a cancelled sum that the dense pass would carry as
-//! `-0.0` or rounding dust.
+//! Every coefficient is a pure function of the final integer counts, so
+//! the state after any sequence of deltas equals the state after one
+//! combined delta — merge order cannot matter — and, for totals below
+//! `2^53` (where every sum is exact in `f64`), equals the dense
+//! [`crate::haar::forward`] and the sparse
+//! [`crate::sparse::sparse_transform`] of the final frequency vector bit
+//! for bit. A detail is zero exactly when its halves hold equal counts; it
+//! is then absent, never rounding dust.
 //!
 //! Memory is `O(D·log u)` for `D` distinct keys ever seen — the dirty-path
 //! ancestors — independent of the domain size `u` (which may be `2^40`).
 
-use std::f64::consts::FRAC_1_SQRT_2;
-
-use crate::hash::{FxHashMap, FxHashSet};
+use crate::haar::level_scale;
+use crate::hash::FxHashMap;
 use crate::select::{top_k_magnitude, CoefEntry};
 use crate::Domain;
 
@@ -45,15 +43,15 @@ use crate::Domain;
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct IncrementalTransform {
     log_u: u32,
-    /// Exact leaf counts: key → occurrences. The ground truth every float
+    /// Exact leaf counts: key → occurrences. The ground truth every value
     /// below is recomputed from.
     counts: FxHashMap<u64, u64>,
     /// Total occurrences across all keys.
     total: u64,
-    /// `avgs[p][t] = A_p(t)` for levels `p ∈ 0..log_u`; entries exist
-    /// exactly for blocks with a non-zero subtree count (and are then
-    /// strictly positive). Leaf-level averages are read from `counts`.
-    avgs: Vec<FxHashMap<u64, f64>>,
+    /// `sums[p][t] = S_p(t)` for levels `p ∈ 0..log_u`; entries exist
+    /// exactly for blocks with a non-zero subtree count. Leaf-level sums
+    /// are read from `counts`.
+    sums: Vec<FxHashMap<u64, u64>>,
     /// Non-zero detail coefficients: slot (`≥ 1`) → value. Details that
     /// recompute to exactly `0.0` are removed, matching the zero-dropping
     /// of [`top_k_magnitude`] and the builders.
@@ -67,7 +65,7 @@ impl IncrementalTransform {
             log_u: domain.log_u(),
             counts: FxHashMap::default(),
             total: 0,
-            avgs: (0..domain.log_u()).map(|_| FxHashMap::default()).collect(),
+            sums: (0..domain.log_u()).map(|_| FxHashMap::default()).collect(),
             details: FxHashMap::default(),
         }
     }
@@ -100,20 +98,23 @@ impl IncrementalTransform {
         self.counts.get(&key).copied().unwrap_or(0)
     }
 
-    /// The average `A_q(t)` one level *below* `p` (i.e. the children live
-    /// at level `q = p + 1`); leaf averages come straight from the counts.
+    /// The subtree sum `S_q(t)`; leaf sums come straight from the counts.
     #[inline]
-    fn level_value(&self, q: u32, t: u64) -> f64 {
-        if q == self.log_u {
-            self.counts.get(&t).map_or(0.0, |&c| c as f64)
+    fn level_sum(&self, q: u32, t: u64) -> u64 {
+        let level = if q == self.log_u {
+            &self.counts
         } else {
-            self.avgs[q as usize].get(&t).copied().unwrap_or(0.0)
-        }
+            &self.sums[q as usize]
+        };
+        level.get(&t).copied().unwrap_or(0)
     }
 
     /// Absorbs a delta segment given as `(key, additional_count)` pairs.
     /// Keys may repeat; zero counts are ignored. `O(d·log u)` for `d`
     /// distinct dirtied keys. An empty delta leaves the state untouched.
+    ///
+    /// The whole delta is validated before any state changes, so a panic
+    /// leaves the transform exactly as it was.
     ///
     /// # Panics
     ///
@@ -121,35 +122,43 @@ impl IncrementalTransform {
     /// overflow `u64`.
     pub fn apply_delta(&mut self, delta: impl IntoIterator<Item = (u64, u64)>) {
         let domain = self.domain();
-        let mut dirty: FxHashSet<u64> = FxHashSet::default();
+        let mut added = 0u64;
+        let mut pending: Vec<(u64, u64)> = Vec::new();
         for (x, c) in delta {
             assert!(domain.contains(x), "key {x} outside {domain}");
-            if c == 0 {
-                continue;
+            if c != 0 {
+                added = added.checked_add(c).expect("count overflow");
+                pending.push((x, c));
             }
-            let slot = self.counts.entry(x).or_insert(0);
-            *slot = slot.checked_add(c).expect("count overflow");
-            self.total = self.total.checked_add(c).expect("total overflow");
-            dirty.insert(x);
         }
-        if dirty.is_empty() {
+        // Every count and subtree sum is at most the total, so this one
+        // check covers all of them.
+        let total = self.total.checked_add(added).expect("count overflow");
+        if pending.is_empty() {
             return;
         }
-        // Recompute the dirtied ancestor paths bottom-up. `dirty` holds
-        // positions at level `q`; their parents at level `p = q − 1` get
-        // the exact `forward_in_place` pass expressions.
+        self.total = total;
+        for &(x, c) in &pending {
+            *self.counts.entry(x).or_insert(0) += c;
+        }
+        // Recompute the dirtied ancestor paths bottom-up: `dirty` holds
+        // the sorted distinct positions at level `q`, their parents at
+        // level `p = q − 1` get the exact sum and the scaled detail.
+        let mut dirty: Vec<u64> = pending.into_iter().map(|(x, _)| x).collect();
+        dirty.sort_unstable();
+        dirty.dedup();
         for q in (1..=self.log_u).rev() {
             let p = q - 1;
-            let mut parents: FxHashSet<u64> = FxHashSet::default();
-            for &t in &dirty {
-                parents.insert(t >> 1);
+            let s = level_scale(self.log_u - p);
+            for t in dirty.iter_mut() {
+                *t >>= 1;
             }
-            for &t in &parents {
-                let a = self.level_value(q, 2 * t);
-                let b = self.level_value(q, 2 * t + 1);
-                let avg = (a + b) * FRAC_1_SQRT_2;
-                let det = (b - a) * FRAC_1_SQRT_2;
-                self.avgs[p as usize].insert(t, avg);
+            dirty.dedup();
+            for &t in &dirty {
+                let l = self.level_sum(q, 2 * t);
+                let r = self.level_sum(q, 2 * t + 1);
+                self.sums[p as usize].insert(t, l + r);
+                let det = (r as f64 - l as f64) * s;
                 let slot = (1u64 << p) + t;
                 if det == 0.0 {
                     self.details.remove(&slot);
@@ -157,18 +166,12 @@ impl IncrementalTransform {
                     self.details.insert(slot, det);
                 }
             }
-            dirty = parents;
         }
     }
 
     /// The coefficient at slot 0 (the overall average term).
     pub fn average_coefficient(&self) -> f64 {
-        if self.log_u == 0 {
-            // u = 1: the transform is the identity.
-            self.counts.get(&0).map_or(0.0, |&c| c as f64)
-        } else {
-            self.avgs[0].get(&0).copied().unwrap_or(0.0)
-        }
+        self.total as f64 * level_scale(self.log_u)
     }
 
     /// All non-zero coefficients as `(slot, value)` pairs, in unspecified
@@ -327,6 +330,31 @@ mod tests {
     fn out_of_domain_key_rejected() {
         let mut t = IncrementalTransform::new(Domain::new(3).unwrap());
         t.apply_delta([(8u64, 1u64)]);
+    }
+
+    #[test]
+    fn rejected_delta_leaves_state_untouched() {
+        let domain = Domain::new(4).unwrap();
+        let mut t = IncrementalTransform::from_counts(domain, [(3u64, 2u64)]);
+        let before = t.clone();
+        let bad_key = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            t.apply_delta([(1u64, 1u64), (16, 1)]);
+        }));
+        assert!(bad_key.is_err());
+        assert_eq!(t, before);
+        let overflow = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            t.apply_delta([(1u64, 1u64), (5, u64::MAX - 2)]);
+        }));
+        assert!(overflow.is_err());
+        assert_eq!(t, before);
+    }
+
+    #[test]
+    #[should_panic(expected = "count overflow")]
+    fn total_overflow_is_a_count_overflow() {
+        let domain = Domain::new(2).unwrap();
+        let mut t = IncrementalTransform::from_counts(domain, [(0u64, u64::MAX)]);
+        t.apply_delta([(1u64, 1u64)]);
     }
 
     #[test]

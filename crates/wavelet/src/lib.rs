@@ -8,13 +8,12 @@
 //!   `w_1 = Σv/√u` and, for `i = 2^j + k + 1`,
 //!   `w_i = (Σ right half − Σ left half)/√(u/2^j)`;
 //! * the **sparse transform** ([`sparse`]) that computes the non-zero
-//!   coefficients of a sparse frequency vector in `O(N·log u)` time and
-//!   `O(log u)` working memory per key — the algorithm the paper's mappers
-//!   run instead of the dense `O(u)` pass (Appendix A);
+//!   coefficients of a sparse frequency vector in `O(N·log u)` time — a
+//!   level-wise pass over the key-sorted leaves, the algorithm the paper's
+//!   mappers run instead of the dense `O(u)` pass (Appendix A);
 //! * the **incrementally maintained transform** ([`incremental`]) that
-//!   absorbs streaming count deltas in `O(d·log u)` per delta while staying
-//!   bit-identical to the dense from-scratch transform of the accumulated
-//!   data — the substrate of the delta-build path;
+//!   absorbs streaming count deltas in `O(d·log u)` per delta — the
+//!   substrate of the delta-build path;
 //! * the **error tree** ([`tree`]) used to answer point and range queries
 //!   from a retained coefficient set;
 //! * **top-k magnitude selection** ([`select`]) with deterministic
@@ -33,6 +32,16 @@
 //!
 //! Keys are likewise zero-based internally: the paper's key `x ∈ [u]`
 //! corresponds to vector position `x − 1`.
+//!
+//! ## One arithmetic
+//!
+//! The dense, sparse and incremental transforms share one arithmetic
+//! (see [`haar`]): exact subtree sums first, then one scaling —
+//! `(R − L)·2^{−h/2}` for the detail of a block of `2^h` keys whose halves
+//! sum to `L` and `R`, and `S·2^{−log_u/2}` for slot 0. Every coefficient
+//! takes one rounding, a detail is zero exactly when `R == L`, and for
+//! integer totals below `2^53` the three paths are bit-identical, so tests
+//! compare them with `==`, not a tolerance.
 
 pub mod haar;
 pub mod hash;
@@ -46,7 +55,7 @@ pub mod twod;
 pub use haar::{forward, forward_in_place, inverse, inverse_in_place};
 pub use incremental::IncrementalTransform;
 pub use select::{top_k_magnitude, CoefEntry};
-pub use sparse::{coefficient_updates, sparse_transform, SparseCoefs};
+pub use sparse::{coefficient_updates, sparse_transform};
 pub use tree::ErrorTree;
 
 /// A validated dyadic key domain `[u]` with `u = 2^log_u`.

@@ -234,6 +234,29 @@ fn maintainer_rejects_packed_2d_slots() {
     m.merge_delta([(packed_2d_slot, 1u64)]);
 }
 
+/// A rejected delta leaves the maintainer exactly as it was: the whole
+/// delta is validated before any count moves, so a panic caught around a
+/// merge (say, inside a `ServeTier::try_publish` rebuild closure) cannot
+/// leave counts whose ancestor sums and details were never recomputed.
+#[test]
+fn rejected_delta_leaves_the_maintainer_untouched() {
+    let ds = zipf(0x5afe, 6, 4_000, 2);
+    let u = ds.domain().u();
+    let mut m = MaintainedHistogram::from_dataset(&ds, K);
+    let before = m.clone();
+    for bad in [vec![(1, 1), (u, 1)], vec![(1, 1), (2, u64::MAX)]] {
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            m.merge_delta(bad.iter().copied());
+        }));
+        assert!(caught.is_err(), "{bad:?} must be rejected");
+        assert_eq!(m, before, "{bad:?} left a half-applied delta");
+    }
+    let scratch = Centralized::new()
+        .build(&ds, &ClusterConfig::paper_cluster(), K)
+        .histogram;
+    assert_bit_identical("after rejected deltas", &m.snapshot(), &scratch);
+}
+
 // ---------------------------------------------------------------------------
 // 3. Coefficient-space merge on pruned histograms (the approximate path).
 // ---------------------------------------------------------------------------
@@ -258,9 +281,9 @@ fn coefficient_merge_with_full_retention_is_exact_and_parseval_holds() {
 
     // Full retention: the merge is exact, so reconstruction equals the
     // concatenated frequency vector (up to float summation order).
-    let base = WaveletHistogram::new(domain, base_coefs.iter().map(|(&s, &v)| (s, v)));
+    let base = WaveletHistogram::new(domain, base_coefs.iter().copied());
     // k = u retains every one of the ≤ u non-zero slots: full retention.
-    let merged = base.merge_delta(delta_coefs.iter().map(|(&s, &v)| (s, v)), u);
+    let merged = base.merge_delta(delta_coefs.iter().copied(), u);
     let recon = merged.reconstruct();
     let truth: Vec<f64> = base_ds
         .exact_frequency_vector()
@@ -281,7 +304,7 @@ fn coefficient_merge_with_full_retention_is_exact_and_parseval_holds() {
     // Pruned to k after an exact merge, the SSE against the concatenated
     // truth is exactly the dropped coefficient energy (Parseval) — a
     // bound no "old top-k ∪ touched" shortcut would meet.
-    let pruned = base.merge_delta(delta_coefs.iter().map(|(&s, &v)| (s, v)), K);
+    let pruned = base.merge_delta(delta_coefs.iter().copied(), K);
     let recon_pruned = pruned.reconstruct();
     let sse: f64 = recon_pruned
         .iter()

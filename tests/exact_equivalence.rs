@@ -3,8 +3,11 @@
 //! on every dataset shape, matching §3's claim that they compute the same
 //! object at different costs.
 
+use std::collections::BTreeMap;
+
 use wavelet_hist::builders::{Centralized, HWTopk, HistogramBuilder, SendCoef, SendV};
 use wavelet_hist::data::{Dataset, DatasetBuilder, Distribution};
+use wavelet_hist::incremental::MaintainedHistogram;
 use wavelet_hist::mapreduce::ClusterConfig;
 use wavelet_hist::wavelet::Domain;
 use wavelet_hist::WaveletHistogram;
@@ -132,4 +135,104 @@ fn histogram_queries_match_reconstruction_on_real_data() {
     }
     let total: f64 = recon.iter().sum();
     assert!((r.histogram.range_sum(0, 255) - total).abs() < 1e-6);
+}
+
+/// Send-V reduces exact integer counts and runs the sparse transform once,
+/// so under the one Haar arithmetic it is bit-identical — not merely
+/// close — to the dense Centralized oracle and to the incrementally
+/// maintained snapshot, at every budget and domain.
+#[test]
+fn send_v_centralized_and_maintained_snapshot_are_bit_identical() {
+    let cluster = ClusterConfig::paper_cluster();
+    for log_u in [4u32, 8, 10, 12] {
+        for (seed, dist) in [
+            (0x5e1, Distribution::Zipf { alpha: 1.1 }),
+            (0x5e2, Distribution::Uniform),
+        ] {
+            let ds = DatasetBuilder::new()
+                .domain(Domain::new(log_u).expect("valid"))
+                .distribution(dist)
+                .records(24_000)
+                .splits(6)
+                .seed(seed)
+                .build();
+            for k in [1usize, 30, 500] {
+                let ctx = format!("log_u {log_u}, seed {seed:#x}, k {k}");
+                let central = Centralized::new().build(&ds, &cluster, k).histogram;
+                let send_v = SendV::new().build(&ds, &cluster, k).histogram;
+                let maintained = MaintainedHistogram::from_dataset(&ds, k).snapshot();
+                assert_eq!(
+                    bits(&send_v),
+                    bits(&central),
+                    "{ctx}: Send-V vs Centralized"
+                );
+                assert_eq!(
+                    bits(&maintained),
+                    bits(&central),
+                    "{ctx}: maintained vs Centralized"
+                );
+            }
+        }
+    }
+}
+
+fn bits(h: &WaveletHistogram) -> Vec<(u64, u64)> {
+    h.coefficients()
+        .iter()
+        .map(|&(slot, v)| (slot, v.to_bits()))
+        .collect()
+}
+
+/// The number of non-zero coefficients of split `j`, from exact integer
+/// counts: slot 0 when the split is non-empty, plus every block whose two
+/// halves hold different counts.
+fn exact_nonzero_coefficients(ds: &Dataset, j: u32) -> u64 {
+    let mut level: BTreeMap<u64, u64> = BTreeMap::new();
+    for r in ds.scan_split(j) {
+        *level.entry(r.key).or_insert(0) += 1;
+    }
+    let mut n = u64::from(!level.is_empty());
+    for _ in 0..ds.domain().log_u() {
+        let mut halves: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+        for (&x, &c) in &level {
+            let half = halves.entry(x >> 1).or_default();
+            if x & 1 == 0 {
+                half.0 += c;
+            } else {
+                half.1 += c;
+            }
+        }
+        n += halves.values().filter(|(l, r)| l != r).count() as u64;
+        level = halves.into_iter().map(|(t, (l, r))| (t, l + r)).collect();
+    }
+    n
+}
+
+/// No float residue crosses the shuffle: Send-Coef ships exactly the
+/// per-split coefficients whose integer halves differ. Uniform small
+/// counts make many blocks with equal halves but different layouts —
+/// exactly where accumulating `±c/√B` per key leaves rounding dust.
+#[test]
+fn send_coef_ships_no_float_residue() {
+    let cluster = ClusterConfig::paper_cluster();
+    for (log_u, records, splits) in [(10u32, 40_000u64, 8u32), (12, 60_000, 6)] {
+        let ds = DatasetBuilder::new()
+            .domain(Domain::new(log_u).expect("valid"))
+            .distribution(Distribution::Uniform)
+            .records(records)
+            .splits(splits)
+            .seed(0x2e51d)
+            .build();
+        let want: u64 = (0..splits)
+            .map(|j| exact_nonzero_coefficients(&ds, j))
+            .sum();
+        let got = SendCoef::new()
+            .build(&ds, &cluster, 16)
+            .metrics
+            .map_output_pairs;
+        assert_eq!(
+            got, want,
+            "log_u {log_u}: shipped pairs vs exact non-zero coefficients"
+        );
+    }
 }

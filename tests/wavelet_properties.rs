@@ -2,7 +2,7 @@
 //! algorithm in the workspace leans on, checked over arbitrary signals.
 
 use proptest::prelude::*;
-use wavelet_hist::wavelet::{haar, sparse, sse, tree::ErrorTree, Domain};
+use wavelet_hist::wavelet::{haar, sparse, sse, tree::ErrorTree, Domain, IncrementalTransform};
 
 fn signal(log_u: u32) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1000.0f64..1000.0, 1usize << log_u)
@@ -15,8 +15,70 @@ fn sparse_pairs(log_u: u32) -> impl Strategy<Value = Vec<(u64, f64)>> {
     )
 }
 
+/// A multiset of `(key, count)` leaves over `[2^log_u]` in arbitrary
+/// order: the drawn pairs, then every third of them again in reverse, so
+/// duplicate keys arrive out of order even in wide domains.
+fn multiset(log_u: u32, raw: &[(u64, u64)]) -> Vec<(u64, u64)> {
+    let mask = (1u64 << log_u) - 1;
+    let pairs: Vec<(u64, u64)> = raw.iter().map(|&(x, c)| (x & mask, c)).collect();
+    let again: Vec<(u64, u64)> = pairs.iter().rev().step_by(3).copied().collect();
+    pairs.into_iter().chain(again).collect()
+}
+
+fn raw_pairs() -> impl Strategy<Value = Vec<(u64, u64)>> {
+    prop::collection::vec((0u64..u64::MAX, 1u64..1000), 0..120)
+}
+
+fn to_bits(coefs: &[(u64, f64)]) -> Vec<(u64, u64)> {
+    coefs.iter().map(|&(s, v)| (s, v.to_bits())).collect()
+}
+
+fn sparse_of(domain: Domain, leaves: &[(u64, u64)]) -> Vec<(u64, f64)> {
+    sparse::sparse_transform(domain, leaves.iter().map(|&(x, c)| (x, c as f64)))
+}
+
+fn incremental_of(domain: Domain, leaves: &[(u64, u64)]) -> Vec<(u64, f64)> {
+    let t = IncrementalTransform::from_counts(domain, leaves.iter().copied());
+    let mut coefs: Vec<(u64, f64)> = t.coefficients().collect();
+    coefs.sort_unstable_by_key(|&(s, _)| s);
+    coefs
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The one arithmetic: sparse ≡ dense ≡ incremental, bit for bit.
+    #[test]
+    fn sparse_dense_and_incremental_are_bit_identical(log_u in 0u32..=12, raw in raw_pairs()) {
+        let domain = Domain::new(log_u).expect("valid");
+        let leaves = multiset(log_u, &raw);
+        let sparse = sparse_of(domain, &leaves);
+        let mut v = vec![0.0f64; 1 << log_u];
+        for &(x, c) in &leaves {
+            v[x as usize] += c as f64;
+        }
+        let dense = haar::forward(&v);
+        let dense_nonzero: Vec<(u64, f64)> = dense
+            .iter()
+            .enumerate()
+            .filter(|&(_, &w)| w != 0.0)
+            .map(|(s, &w)| (s as u64, w))
+            .collect();
+        prop_assert_eq!(to_bits(&sparse), to_bits(&dense_nonzero));
+        prop_assert_eq!(to_bits(&incremental_of(domain, &leaves)), to_bits(&sparse));
+    }
+
+    #[test]
+    fn sparse_and_incremental_are_bit_identical_on_wide_domains(
+        log_u in 13u32..=24,
+        raw in raw_pairs(),
+    ) {
+        let domain = Domain::new(log_u).expect("valid");
+        let leaves = multiset(log_u, &raw);
+        let sparse = sparse_of(domain, &leaves);
+        prop_assert!(sparse.windows(2).all(|w| w[0].0 < w[1].0));
+        prop_assert_eq!(to_bits(&incremental_of(domain, &leaves)), to_bits(&sparse));
+    }
 
     #[test]
     fn forward_inverse_roundtrip(v in signal(6)) {
@@ -55,10 +117,9 @@ proptest! {
             v[k as usize] += c;
         }
         let dense = haar::forward(&v);
-        for (slot, &want) in dense.iter().enumerate() {
-            let got = coefs.get(&(slot as u64)).copied().unwrap_or(0.0);
-            prop_assert!((got - want).abs() < 1e-8 * (1.0 + want.abs()),
-                "slot {slot}: {got} vs {want}");
+        let got = sparse::densify(domain, &coefs);
+        for (slot, (&g, &want)) in got.iter().zip(&dense).enumerate() {
+            prop_assert_eq!(g.to_bits(), want.to_bits(), "slot {}: {} vs {}", slot, g, want);
         }
     }
 
